@@ -1,24 +1,18 @@
 //! Throughput scaling of the sharded datapath: emulator packets/sec
 //! (wall clock) of [`ShardedNic`] on the DASH routing pipeline as the
-//! worker count grows, per target preset and per [`ShardMode`].
+//! worker count grows, per target preset.
 //!
-//! The point of the run-loop refactor is visible here as a *row pair*:
-//! `bit-exact` replays the global arrival schedule (per-batch fork-join,
-//! global record sort), which historically made more workers *slower*
-//! than one; `run-loop` feeds persistent workers through SPSC rings and
-//! defers merging to window boundaries, so added workers can only help
-//! (and must never hurt — asserted below). The *simulated* Gbps stays
-//! worker-invariant in both modes by design; what scales is how fast
-//! the emulator itself chews through packets. The `host_cpus` line says
-//! how much hardware parallelism was actually available for a run.
+//! The `run-loop` datapath feeds persistent workers through SPSC rings
+//! and defers merging to window boundaries, so added workers can only
+//! help (and must never hurt — asserted below). The *simulated* Gbps
+//! stays worker-invariant by design; what scales is how fast the
+//! emulator itself chews through packets. The `host_cpus` line says how
+//! much hardware parallelism was actually available for a run.
 //!
-//! Determinism cross-checks on every row:
-//! - `bit-exact`: batch statistics and the merged-profile fingerprint
-//!   must be bit-identical to the 1-worker run.
-//! - `run-loop`: integer statistics, p99, and the merged-profile
-//!   fingerprint must be identical to the 1-worker run (flow-keyed
-//!   sampling makes the sampled set worker-invariant); the mean is
-//!   order-relaxed and checked within reassociation tolerance.
+//! Determinism cross-check on every row: integer statistics, p99, and
+//! the merged-profile fingerprint must be identical to the 1-worker run
+//! (flow-keyed sampling makes the sampled set worker-invariant); the
+//! mean is order-relaxed and checked within reassociation tolerance.
 //!
 //! Output: the usual tab-separated table, plus `BENCH_shard_scaling.json`
 //! at the repo root (override with `BENCH_SHARD_SCALING_OUT`). The
@@ -28,7 +22,7 @@
 
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::CostParams;
-use pipeleon_sim::{BatchStats, Packet, ShardMode, ShardedNic};
+use pipeleon_sim::{BatchStats, Packet, ShardedNic};
 use pipeleon_workloads::scenarios::DashRouting;
 use std::time::Instant;
 
@@ -47,7 +41,7 @@ fn batch(dash: &DashRouting, packets: usize) -> Vec<Packet> {
         .batch(packets)
 }
 
-/// Times every worker count of one (preset, mode) pair with
+/// Times every worker count of one preset with
 /// *interleaved* repetitions: each sweep measures all worker counts
 /// back-to-back, and each config keeps its best rep. On a noisy host
 /// (shared vCPU, steal time) sequential per-config timing would hand
@@ -55,10 +49,9 @@ fn batch(dash: &DashRouting, packets: usize) -> Vec<Packet> {
 /// every config sample a quiet window, so the speedup ratios compare
 /// like with like. Returns `(pps, final stats, profile fingerprint)`
 /// per worker count, in `worker_counts` order.
-fn run_mode(
+fn run_preset(
     dash: &DashRouting,
     params: &CostParams,
-    mode: ShardMode,
     worker_counts: &[usize],
     batch: &[Packet],
     reps: u32,
@@ -66,8 +59,7 @@ fn run_mode(
     let mut nics: Vec<ShardedNic> = worker_counts
         .iter()
         .map(|&workers| {
-            let mut nic =
-                ShardedNic::with_mode(dash.graph.clone(), params.clone(), workers, mode).unwrap();
+            let mut nic = ShardedNic::new(dash.graph.clone(), params.clone(), workers).unwrap();
             nic.set_instrumentation(true, 16);
             // Warm up code paths once before timing.
             nic.measure(batch.to_vec());
@@ -99,48 +91,41 @@ fn run_mode(
         .collect()
 }
 
-/// Worker-invariance check per mode (see module docs).
+/// Worker-invariance check (see module docs).
 fn assert_identical_to_base(
-    mode: ShardMode,
     workers: usize,
     stats: &BatchStats,
     fingerprint: u64,
     base_stats: &BatchStats,
     base_fp: u64,
 ) {
-    let ctx = format!("{}/{workers}w", mode.as_str());
+    let ctx = format!("{MODE}/{workers}w");
     assert_eq!(
         fingerprint, base_fp,
         "{ctx}: merged profile diverged from 1 worker"
     );
-    match mode {
-        ShardMode::BitExact => assert_eq!(
-            stats, base_stats,
-            "{ctx}: stats diverged (bit-reproducibility broken)"
-        ),
-        ShardMode::RunLoop => {
-            assert_eq!(stats.packets, base_stats.packets, "{ctx}: packets");
-            assert_eq!(stats.dropped, base_stats.dropped, "{ctx}: dropped");
-            assert_eq!(stats.migrations, base_stats.migrations, "{ctx}: migrations");
-            assert_eq!(
-                stats.counter_updates, base_stats.counter_updates,
-                "{ctx}: counter updates"
-            );
-            assert_eq!(
-                stats.p99_latency_ns.to_bits(),
-                base_stats.p99_latency_ns.to_bits(),
-                "{ctx}: p99 must be exact (partition-invariant multiset)"
-            );
-            let rel = (stats.mean_latency_ns - base_stats.mean_latency_ns).abs()
-                / base_stats.mean_latency_ns.abs().max(1.0);
-            assert!(rel < 1e-9, "{ctx}: mean beyond reassociation tolerance");
-        }
-    }
+    assert_eq!(stats.packets, base_stats.packets, "{ctx}: packets");
+    assert_eq!(stats.dropped, base_stats.dropped, "{ctx}: dropped");
+    assert_eq!(stats.migrations, base_stats.migrations, "{ctx}: migrations");
+    assert_eq!(
+        stats.counter_updates, base_stats.counter_updates,
+        "{ctx}: counter updates"
+    );
+    assert_eq!(
+        stats.p99_latency_ns.to_bits(),
+        base_stats.p99_latency_ns.to_bits(),
+        "{ctx}: p99 must be exact (partition-invariant multiset)"
+    );
+    let rel = (stats.mean_latency_ns - base_stats.mean_latency_ns).abs()
+        / base_stats.mean_latency_ns.abs().max(1.0);
+    assert!(rel < 1e-9, "{ctx}: mean beyond reassociation tolerance");
 }
+
+/// The `mode` column of every row (the sharded datapath has one).
+const MODE: &str = "run-loop";
 
 struct Row {
     preset: &'static str,
-    mode: ShardMode,
     workers: usize,
     pps: f64,
     speedup: f64,
@@ -150,25 +135,16 @@ fn main() {
     let smoke = std::env::var("SHARD_SCALING_SMOKE").is_ok();
     let packets = if smoke { 10_000 } else { 60_000 };
     // Best-of converges every config to its quiet-window minimum, and
-    // noise only ever inflates a rep — so the gated mode (run-loop, whose
-    // 8w-vs-1w ratio the acceptance check below asserts) gets the most
-    // sweeps; the bit-exact oracle rows only need stable magnitudes.
-    let reps_for = |mode: ShardMode| match (smoke, mode) {
-        (true, _) => 1,
-        (false, ShardMode::BitExact) => 8,
-        (false, ShardMode::RunLoop) => 15,
-    };
+    // noise only ever inflates a rep, so the gated 8w-vs-1w ratio below
+    // gets many sweeps.
+    let reps = if smoke { 1 } else { 15 };
     let worker_counts: &[usize] = if smoke { &[1, 8] } else { &[1, 2, 4, 8] };
     banner(
         "sharded_scaling",
-        "emulator throughput vs worker count and shard mode (DASH routing)",
+        "emulator throughput vs worker count (DASH routing)",
     );
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "# host_cpus: {cpus}  packets_per_rep: {packets}  reps: bit-exact={} run-loop={}  smoke: {smoke}",
-        reps_for(ShardMode::BitExact),
-        reps_for(ShardMode::RunLoop)
-    );
+    println!("# host_cpus: {cpus}  packets_per_rep: {packets}  reps: {reps}  smoke: {smoke}");
     header(&[
         "preset",
         "mode",
@@ -183,34 +159,31 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for (preset, params) in presets() {
         let batch = batch(&dash, packets);
-        for mode in [ShardMode::BitExact, ShardMode::RunLoop] {
-            let results = run_mode(&dash, &params, mode, worker_counts, &batch, reps_for(mode));
-            let mut base: Option<(f64, BatchStats, u64)> = None;
-            for (&workers, (pps, stats, fp)) in worker_counts.iter().zip(results) {
-                if workers == 1 {
-                    base = Some((pps, stats.clone(), fp));
-                }
-                let (base_pps, base_stats, base_fp) = base.as_ref().unwrap();
-                assert_identical_to_base(mode, workers, &stats, fp, base_stats, *base_fp);
-                let speedup = pps / base_pps;
-                row(&[
-                    preset.to_string(),
-                    mode.as_str().to_string(),
-                    workers.to_string(),
-                    f(pps),
-                    f(speedup),
-                    f(stats.throughput_gbps),
-                    f(stats.mean_latency_ns),
-                    "true".to_string(),
-                ]);
-                rows.push(Row {
-                    preset,
-                    mode,
-                    workers,
-                    pps,
-                    speedup,
-                });
+        let results = run_preset(&dash, &params, worker_counts, &batch, reps);
+        let mut base: Option<(f64, BatchStats, u64)> = None;
+        for (&workers, (pps, stats, fp)) in worker_counts.iter().zip(results) {
+            if workers == 1 {
+                base = Some((pps, stats.clone(), fp));
             }
+            let (base_pps, base_stats, base_fp) = base.as_ref().unwrap();
+            assert_identical_to_base(workers, &stats, fp, base_stats, *base_fp);
+            let speedup = pps / base_pps;
+            row(&[
+                preset.to_string(),
+                MODE.to_string(),
+                workers.to_string(),
+                f(pps),
+                f(speedup),
+                f(stats.throughput_gbps),
+                f(stats.mean_latency_ns),
+                "true".to_string(),
+            ]);
+            rows.push(Row {
+                preset,
+                workers,
+                pps,
+                speedup,
+            });
         }
     }
 
@@ -218,15 +191,14 @@ fn main() {
     // gate (run-loop at 8 workers no slower than at 1, every preset).
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"program\": \"dash_routing\",\n  \"packets_per_rep\": {packets},\n  \"reps\": {},\n  \"smoke\": {smoke},\n  \"host_cpus\": {cpus},\n  \"gate_floor\": {},\n  \"results\": [\n",
-        reps_for(ShardMode::RunLoop),
+        "  \"program\": \"dash_routing\",\n  \"packets_per_rep\": {packets},\n  \"reps\": {reps},\n  \"smoke\": {smoke},\n  \"host_cpus\": {cpus},\n  \"gate_floor\": {},\n  \"results\": [\n",
         if cpus > 1 { 1.0 } else { 0.95 }
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"preset\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"emulator_pps\": {:.1}, \"speedup_vs_1\": {:.3}}}{}\n",
             r.preset,
-            r.mode.as_str(),
+            MODE,
             r.workers,
             r.pps,
             r.speedup,
@@ -243,9 +215,8 @@ fn main() {
     std::fs::write(&out, json).expect("write BENCH_shard_scaling.json");
     println!("# wrote {out}");
 
-    // Acceptance: the run-loop refactor removed the arrival-order
-    // barrier, so added workers must not cost throughput (the fork-join
-    // engine lost ~2.5x going 1->8 workers). On a host with a single CPU
+    // Acceptance: the run loop has no arrival-order barrier, so added
+    // workers must not cost throughput. On a host with a single CPU
     // there is no parallelism to win back — 8 workers' extra shard state
     // makes exact parity the theoretical best — so the gate there is
     // parity within the wall-clock resolution of a shared vCPU
@@ -263,9 +234,7 @@ fn main() {
     for (preset, _) in presets() {
         let pps_at = |workers: usize| {
             rows.iter()
-                .find(|r| {
-                    r.preset == preset && r.mode == ShardMode::RunLoop && r.workers == workers
-                })
+                .find(|r| r.preset == preset && r.workers == workers)
                 .map(|r| r.pps)
                 .unwrap()
         };

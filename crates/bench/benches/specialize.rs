@@ -24,7 +24,7 @@
 
 use pipeleon_bench::{banner, f, header, row};
 use pipeleon_cost::CostParams;
-use pipeleon_sim::{EngineMode, Packet, ShardMode, ShardedNic, SmartNic, SpecStats};
+use pipeleon_sim::{EngineMode, Packet, ShardedNic, SmartNic, SpecStats};
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use std::time::Instant;
 
@@ -102,9 +102,7 @@ fn run_sharded(
     batch: &[Packet],
     reps: u32,
 ) -> (f64, (u64, u64, u64), SpecStats) {
-    let mut nic =
-        ShardedNic::with_mode(s.graph.clone(), params.clone(), workers, ShardMode::RunLoop)
-            .unwrap();
+    let mut nic = ShardedNic::new(s.graph.clone(), params.clone(), workers).unwrap();
     nic.set_engine_mode(engine);
     nic.set_instrumentation(true, 1);
     nic.measure(warm.to_vec());

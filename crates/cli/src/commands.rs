@@ -28,7 +28,7 @@ USAGE:
            [--top-k F] [--memory BYTES] [--updates RATE] [-o out.json]
   pipeleon simulate <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--trace t.trace]
-           [--workers N] [--shard-mode run-loop|bit-exact]
+           [--workers N] [--shard-mode run-loop]
            [--sample N] [--engine compiled|interp]
            [--batch N] [--profile-out p.json]
            [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
@@ -41,7 +41,7 @@ USAGE:
            [--format text|json]
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
   pipeleon serve    <program> [--listen ADDR] [--target T] [--workers N]
-           [--engine compiled|interp] [--shard-mode run-loop|bit-exact]
+           [--engine compiled|interp] [--shard-mode run-loop]
            [--batch N] [--burst N] [--sample N] [--live-reconfig]
            [--max-packets N] [--idle-timeout-ms MS] [--tick-packets N]
            [--addr-file f] [--metrics-out m.prom|m.json]
@@ -343,13 +343,15 @@ fn engine_mode(args: &Args) -> Result<EngineMode, String> {
     }
 }
 
-/// Parses `--shard-mode run-loop|bit-exact` (run-loop is the default
-/// when the sharded datapath is used).
-fn shard_mode(args: &Args) -> Result<ShardMode, String> {
+/// Whether to run the sharded datapath: at `--workers N > 1`, or with an
+/// explicit `--shard-mode run-loop`, which opts into it even at
+/// `--workers 1` (for differential runs against a single worker).
+fn use_sharded(args: &Args, workers: usize) -> Result<bool, String> {
     match args.get("shard-mode") {
-        None => Ok(ShardMode::default()),
+        None => Ok(workers > 1),
         Some(s) => ShardMode::parse(s)
-            .ok_or_else(|| format!("unknown --shard-mode {s:?} (run-loop | bit-exact)")),
+            .map(|_| true)
+            .ok_or_else(|| format!("unknown --shard-mode {s:?} (run-loop)")),
     }
 }
 
@@ -406,12 +408,9 @@ fn simulate(args: &Args) -> Result<(), String> {
     let workers = args.get_usize("workers", 1)?;
     let sample = args.get_usize("sample", 1)?.max(1) as u64;
     let engine = engine_mode(args)?;
-    // An explicit --shard-mode opts into the sharded datapath even at
-    // --workers 1 (useful for differential runs against a single worker).
-    let sharded = workers > 1 || args.get("shard-mode").is_some();
+    let sharded = use_sharded(args, workers)?;
     let config = NicConfig {
         batch: args.get_usize("batch", 32)?.max(1),
-        shard_mode: shard_mode(args)?,
         ..NicConfig::default()
     };
     let batch = gen_batch(args, &g, packets)?;
@@ -438,9 +437,7 @@ fn simulate(args: &Args) -> Result<(), String> {
         };
     }
     // The sharded datapath merges results at window boundaries: integer
-    // statistics, profiles, and histograms are worker-count-invariant in
-    // both shard modes (bit-exact mode additionally replays the global
-    // arrival schedule for bit-identical float aggregates).
+    // statistics, profiles, and histograms are worker-count-invariant.
     // Profile-guided specialization is on by default for the compiled
     // engine (the interpreter is the oracle and never specializes).
     let specialize = engine == EngineMode::Compiled && !args.get_bool("no-specialize");
@@ -763,7 +760,6 @@ fn serve(args: &Args) -> Result<(), String> {
     let sample = args.get_usize("sample", 1)?.max(1) as u64;
     let nic_config = NicConfig {
         batch: args.get_usize("batch", 32)?.max(1),
-        shard_mode: shard_mode(args)?,
         ..NicConfig::default()
     };
     let limits = ServeLimits {
@@ -771,8 +767,7 @@ fn serve(args: &Args) -> Result<(), String> {
         idle_timeout: Duration::from_millis(args.get_usize("idle-timeout-ms", 0)? as u64),
         tick_packets: args.get_usize("tick-packets", 0)? as u64,
     };
-    let sharded = workers > 1 || args.get("shard-mode").is_some();
-    if sharded {
+    if use_sharded(args, workers)? {
         let mut nic = ShardedNic::new(g.clone(), params.clone(), workers)
             .map_err(|e| e.to_string())?
             .with_config(nic_config);
@@ -1225,14 +1220,16 @@ mod tests {
             read_artifact(&two),
             "run-loop profile must be byte-identical across worker counts"
         );
-        let err = run(&v(&[
-            "simulate",
-            prog.to_str().unwrap(),
-            "--shard-mode",
-            "bogus",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--shard-mode"), "unexpected error: {err}");
+        for bad in ["bogus", "bit-exact"] {
+            let err = run(&v(&[
+                "simulate",
+                prog.to_str().unwrap(),
+                "--shard-mode",
+                bad,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--shard-mode"), "unexpected error: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -82,11 +82,12 @@ pub trait NicBackend {
     /// The currently selected packet-execution engine.
     fn engine_mode(&self) -> EngineMode;
 
-    /// The worker-coordination mode of the datapath. Single-threaded
-    /// backends are trivially bit-exact; sharded backends report how
-    /// their workers coordinate ([`ShardMode`]).
+    /// The worker-coordination mode of the datapath. Always
+    /// [`ShardMode::RunLoop`], the only mode; kept because the
+    /// `perfbench` harness forwards it. Remove it together with that
+    /// forwarding.
     fn shard_mode(&self) -> ShardMode {
-        ShardMode::BitExact
+        ShardMode::RunLoop
     }
 
     /// Processes one packet (no arrival pacing).

@@ -129,9 +129,9 @@ pub enum EngineMode {
 /// on global arrival order or only on per-flow order:
 ///
 /// - [`GlobalSeq`](SampleKeying::GlobalSeq) reproduces the classic
-///   single-threaded schedule (`packet_seq % sample_every`), which is
-///   only partition-invariant if every shard is fed the packet's global
-///   arrival index — the barrier the run-loop datapath removes.
+///   single-threaded schedule (`packet_seq % sample_every`). It depends
+///   on the global arrival index, which no shard of the sharded datapath
+///   sees, so shards never use it.
 /// - [`FlowKeyed`](SampleKeying::FlowKeyed) hashes `(flow_hash,
 ///   per-flow packet count)` through a splitmix64-style mixer. Since RSS
 ///   pins a flow to one shard and rings preserve per-flow order, the
@@ -360,14 +360,6 @@ impl Executor {
     pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
         self.instrumented = enabled;
         self.sample_every = sample_every.max(1);
-    }
-
-    /// Overrides the packet sequence number that drives counter sampling.
-    /// A sharded NIC assigns each packet its *global* arrival index before
-    /// execution so the `packet_seq % sample_every` sampling decision is
-    /// identical to a single-threaded run, regardless of worker count.
-    pub fn set_packet_seq(&mut self, seq: u64) {
-        self.packet_seq = seq;
     }
 
     /// Selects how counter-sampling decisions are keyed (see

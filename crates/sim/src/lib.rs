@@ -48,13 +48,12 @@
 //!   implement, so runtime targets can be backed by either.
 //!
 //! Everything is seeded and deterministic — results are bit-reproducible.
-//! A [`ShardedNic`] runs in one of two [`ShardMode`]s: `BitExact`
-//! replays the global arrival schedule (barrier + sort per batch), so
-//! its output is bit-identical to a single-threaded [`SmartNic`] run on
-//! the same traffic for any worker count; `RunLoop` (the default) feeds
-//! persistent workers through SPSC rings and preserves forwarding
-//! decisions, per-flow order, integer statistics, the exact p99, and —
-//! via flow-keyed sampling ([`SampleKeying`]) — worker-count-invariant
+//! The single-threaded [`SmartNic`] (with the interpreter engine and
+//! [`engine::oracle_lookup`] beneath it) is the one reference. A
+//! [`ShardedNic`] feeds persistent run-loop workers through SPSC rings
+//! and preserves, against that reference, forwarding decisions,
+//! per-flow order, integer statistics, the exact p99, and — via
+//! flow-keyed sampling ([`SampleKeying`]) — worker-count-invariant
 //! window-merged profiles and histograms, relaxing only the float
 //! summation order of mean latency and throughput.
 //!

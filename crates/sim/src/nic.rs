@@ -17,40 +17,28 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 /// How the sharded datapath ([`ShardedNic`](crate::ShardedNic))
-/// coordinates its workers.
+/// coordinates its workers. [`ShardMode::RunLoop`] is the only mode; the
+/// type stays because the `perfbench` harness names it (through
+/// [`ShardedNic::with_mode`](crate::ShardedNic::with_mode) and
+/// [`NicBackend::shard_mode`](crate::NicBackend::shard_mode)). Remove it
+/// together with those uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
-    /// Fork-join per batch with a global arrival-order barrier: every
-    /// packet is stamped with its global arrival index, and per-packet
-    /// records are re-sorted into arrival order before reduction, so
-    /// results are bit-identical to a single-threaded
-    /// [`SmartNic`] for any worker count. Kept as the
-    /// differential oracle for [`ShardMode::RunLoop`].
-    BitExact,
-    /// Persistent per-worker run loops fed by SPSC rings (the default):
-    /// no global arrival stamping, no cross-shard sort, merge deferred
-    /// to window boundaries. Forwarding decisions, per-flow order, and
-    /// every integer statistic match `BitExact` exactly; float
-    /// aggregates may differ in the last bits because summation order is
-    /// per-shard. See the `sharded` module docs for the full invariant
-    /// set.
+    /// Persistent per-worker run loops fed by SPSC rings: no global
+    /// arrival stamping, no cross-shard sort, merge deferred to window
+    /// boundaries. Forwarding decisions, per-flow order, and every
+    /// integer statistic match the single-threaded [`SmartNic`]
+    /// exactly; float aggregates may differ in the last bits because
+    /// summation order is per-shard. See the `sharded` module docs for
+    /// the full invariant set.
     #[default]
     RunLoop,
 }
 
 impl ShardMode {
-    /// CLI-facing name (`--shard-mode` value).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ShardMode::BitExact => "bit-exact",
-            ShardMode::RunLoop => "run-loop",
-        }
-    }
-
     /// Parses a CLI `--shard-mode` value.
     pub fn parse(s: &str) -> Option<ShardMode> {
         match s {
-            "bit-exact" | "bitexact" | "barrier" => Some(ShardMode::BitExact),
             "run-loop" | "runloop" => Some(ShardMode::RunLoop),
             _ => None,
         }
@@ -67,9 +55,6 @@ pub struct NicConfig {
     /// ([`SmartNic::process_batch`] and the CLI `--batch` flag). Purely a
     /// processing granularity: results are bit-identical for any value.
     pub batch: usize,
-    /// Worker coordination for the sharded datapath; ignored by the
-    /// single-threaded [`SmartNic`].
-    pub shard_mode: ShardMode,
 }
 
 impl Default for NicConfig {
@@ -77,7 +62,6 @@ impl Default for NicConfig {
         Self {
             packet_bytes: Packet::DEFAULT_BYTES,
             batch: 32,
-            shard_mode: ShardMode::default(),
         }
     }
 }
@@ -104,13 +88,10 @@ pub struct BatchStats {
 }
 
 /// What one packet contributed to a measured batch. [`SmartNic::measure`]
-/// and the sharded datapath both reduce these through
-/// [`BatchStats::from_records`], so N-worker results are bit-identical to
-/// single-threaded ones.
+/// reduces these through [`BatchStats::from_records`]; the sharded
+/// datapath applies the same reduction to shard-local aggregates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
-    /// Global arrival index within the batch (0-based).
-    pub arrival: u64,
     /// RSS core the packet was dispatched to (must be `< num_cores`).
     pub core: usize,
     /// Accounted latency (ns).
@@ -128,16 +109,84 @@ pub struct PacketRecord {
 impl BatchStats {
     /// Reduces per-packet records into batch statistics. `records` must be
     /// in arrival order: float accumulation order (core busy-time, total
-    /// bits, mean) is fixed by it, which is what makes merged shard
-    /// results bit-reproducible regardless of worker count.
+    /// bits, mean) is fixed by it, which makes the result
+    /// bit-reproducible.
     pub fn from_records(
         records: &[PacketRecord],
         num_cores: usize,
         line_pps: f64,
         offered_gbps: f64,
     ) -> BatchStats {
-        let cores = num_cores.max(1);
-        let n = records.len() as u64;
+        let mut core_busy_ns = vec![0.0f64; num_cores.max(1)];
+        let mut latencies: Vec<f64> = Vec::with_capacity(records.len());
+        let mut totals = BatchTotals::default();
+        for r in records {
+            core_busy_ns[r.core] += r.latency_ns;
+            latencies.push(r.latency_ns);
+            totals.add(
+                r.latency_ns,
+                r.dropped,
+                r.migrations,
+                r.counter_updates,
+                r.bits,
+            );
+        }
+        totals.reduce(&core_busy_ns, &mut latencies, line_pps, offered_gbps)
+    }
+}
+
+/// Counts and running float sums of a measured batch. `from_records`
+/// accumulates them in arrival order; each shard of the sharded datapath
+/// accumulates its own and they are summed in shard order at the window
+/// boundary. Both paths then share [`BatchTotals::reduce`].
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct BatchTotals {
+    dropped: u64,
+    migrations: u64,
+    counter_updates: u64,
+    bits: f64,
+    lat_sum: f64,
+}
+
+impl BatchTotals {
+    /// Folds in one packet's contribution.
+    #[inline]
+    pub(crate) fn add(
+        &mut self,
+        latency_ns: f64,
+        dropped: bool,
+        migrations: u64,
+        counter_updates: u64,
+        bits: f64,
+    ) {
+        self.lat_sum += latency_ns;
+        self.bits += bits;
+        self.dropped += dropped as u64;
+        self.migrations += migrations;
+        self.counter_updates += counter_updates;
+    }
+
+    /// Sums another batch's totals into this one.
+    pub(crate) fn merge(&mut self, other: &BatchTotals) {
+        self.dropped += other.dropped;
+        self.migrations += other.migrations;
+        self.counter_updates += other.counter_updates;
+        self.bits += other.bits;
+        self.lat_sum += other.lat_sum;
+    }
+
+    /// The final reduction. `latencies` is the batch's latency multiset
+    /// in any order (sorted in place) and `core_busy_ns` the per-core
+    /// busy time: throughput is `bits / max(arrival time, busiest
+    /// core)`, capped at the offered load.
+    pub(crate) fn reduce(
+        &self,
+        core_busy_ns: &[f64],
+        latencies: &mut [f64],
+        line_pps: f64,
+        offered_gbps: f64,
+    ) -> BatchStats {
+        let n = latencies.len() as u64;
         if n == 0 {
             return BatchStats {
                 packets: 0,
@@ -150,43 +199,24 @@ impl BatchStats {
                 counter_updates: 0,
             };
         }
-        let mut core_busy_ns = vec![0.0f64; cores];
-        let mut latencies: Vec<f64> = Vec::with_capacity(records.len());
-        let mut dropped = 0u64;
-        let mut migrations = 0u64;
-        let mut counter_updates = 0u64;
-        let mut total_bits = 0.0f64;
-        for r in records {
-            core_busy_ns[r.core] += r.latency_ns;
-            latencies.push(r.latency_ns);
-            migrations += r.migrations;
-            counter_updates += r.counter_updates;
-            if r.dropped {
-                dropped += 1;
-            }
-            total_bits += r.bits;
-        }
         let arrival_ns = n as f64 / line_pps * 1e9;
         let busiest_ns = core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
         let duration_ns = arrival_ns.max(busiest_ns);
-        let throughput_gbps = (total_bits / duration_ns).min(offered_gbps);
-        let mean = latencies.iter().sum::<f64>() / n as f64;
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
         // Nearest-rank percentile: the smallest value with at least
         // ceil(0.99·n) samples at or below it. The previous
         // `(n·0.99) as usize` truncation over-indexed (n=100 picked the
         // max instead of the 99th of 100).
         let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, latencies.len());
-        let p99 = latencies[rank - 1];
         BatchStats {
             packets: n,
-            dropped,
-            mean_latency_ns: mean,
-            p99_latency_ns: p99,
-            throughput_gbps,
+            dropped: self.dropped,
+            mean_latency_ns: self.lat_sum / n as f64,
+            p99_latency_ns: latencies[rank - 1],
+            throughput_gbps: (self.bits / duration_ns).min(offered_gbps),
             offered_gbps,
-            migrations,
-            counter_updates,
+            migrations: self.migrations,
+            counter_updates: self.counter_updates,
         }
     }
 }
@@ -529,7 +559,6 @@ impl SmartNic {
             };
             let r = self.exec.process(&mut pkt);
             stream.records.push(PacketRecord {
-                arrival: stream.n,
                 core,
                 latency_ns: r.latency_ns,
                 dropped: r.dropped,
@@ -609,7 +638,6 @@ mod tests {
         for (n, expected) in [(1u64, 1.0), (99, 99.0), (100, 99.0), (101, 100.0)] {
             let records: Vec<PacketRecord> = (0..n)
                 .map(|i| PacketRecord {
-                    arrival: i,
                     core: 0,
                     latency_ns: (i + 1) as f64,
                     dropped: false,

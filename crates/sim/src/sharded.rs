@@ -4,25 +4,24 @@
 //! each owning a private [`Executor`] with its own runtime-profile shard,
 //! and merges per-shard profiles/observations back into one
 //! [`RuntimeProfile`] / [`ExecObservations`] at profile-window boundaries
-//! (`take_profile` / `take_observations`). Two worker-coordination modes
-//! exist ([`ShardMode`]):
+//! (`take_profile` / `take_observations`).
 //!
-//! # `ShardMode::RunLoop` (default)
+//! # The run loop
 //!
-//! Persistent worker threads, spawned once at construction, each spinning
-//! a DPDK-style run loop: burst-dequeue packets from a private SPSC ring
-//! ([`crate::ring`]), execute them, accumulate shard-local aggregates,
-//! park when idle. The dispatcher hashes packets onto rings and never
-//! waits mid-batch: it is *work-conserving* — when a ring fills, or at
-//! end-of-batch drain, the dispatcher executes bursts itself through the
-//! same shard-locked path the workers use instead of blocking on them.
-//! There is no global arrival stamping, no cross-shard record sort, and
-//! no per-batch thread spawn — the three serialization points that made
-//! the fork-join mode *slower* at higher worker counts — and on a
+//! Persistent worker threads, spawned at construction and joined on
+//! drop, each spinning a DPDK-style run loop: burst-dequeue packets from
+//! a private SPSC ring ([`crate::ring`]), execute them, accumulate
+//! shard-local aggregates, park when idle. The dispatcher hashes packets
+//! onto rings and never waits mid-batch: it is *work-conserving* — when
+//! a ring fills, or at end-of-batch drain, the dispatcher executes
+//! bursts itself through the same shard-locked path the workers use
+//! instead of blocking on them. There is no global arrival stamping, no
+//! cross-shard record sort, and no per-batch thread spawn, and on a
 //! single-CPU host a batch drains with zero context switches.
 //!
-//! What RunLoop **preserves** exactly (asserted by
-//! `tests/runloop_differential.rs` against the `BitExact` oracle):
+//! The single-threaded reference is [`SmartNic`](crate::SmartNic). What
+//! the run loop **preserves** exactly against it (asserted by
+//! `tests/runloop_differential.rs`):
 //!
 //! - **Forwarding decisions and packet mutations.** A flow lives on
 //!   exactly one shard and rings are FIFO, so the k-th packet of a flow
@@ -35,13 +34,12 @@
 //!   is keyed per flow ([`SampleKeying::FlowKeyed`]): the decision for a
 //!   packet depends only on `(flow_hash, per-flow index)`, both
 //!   partition-invariant, so profiles and latency histograms merged at a
-//!   window boundary are bit-identical across worker counts (the
-//!   single-threaded reference is a [`SmartNic`](crate::SmartNic) with
-//!   flow-keyed sampling). With `sample_every == 1` every packet is
-//!   sampled and profiles also match the classic global-sequence
-//!   schedule bit-for-bit.
+//!   window boundary are bit-identical across worker counts and to a
+//!   [`SmartNic`](crate::SmartNic) with flow-keyed sampling. With
+//!   `sample_every == 1` every packet is sampled and profiles also match
+//!   the `SmartNic` default (global-sequence) schedule bit-for-bit.
 //!
-//! What RunLoop **relaxes**:
+//! What the run loop **relaxes**:
 //!
 //! - **Global arrival interleaving.** Floating-point aggregates whose
 //!   value depends on summation order — mean latency, core busy time and
@@ -52,17 +50,6 @@
 //!   executor clock by its own packet index, so time-dependent runtime
 //!   state (cache insertion rate limiters) sees per-shard schedules.
 //!
-//! # `ShardMode::BitExact`
-//!
-//! The previous fork-join-per-batch engine, kept as the differential
-//! oracle. Every packet is stamped with its *global* arrival index
-//! (clock and sampling sequence), per-packet [`PacketRecord`]s are
-//! re-sorted into global arrival order, and the exact
-//! [`BatchStats::from_records`] reducer replays the single-threaded
-//! float-accumulation order — results are bit-identical to
-//! [`SmartNic`](crate::SmartNic) for any worker count, at the cost of a
-//! full sort + barrier per batch.
-//!
 //! # Control plane: fan-out vs. live reconfiguration
 //!
 //! By default, control-plane operations (`insert_entry`, `remove_entry`,
@@ -71,10 +58,10 @@
 //! but the control plane serializes against packet execution at burst
 //! granularity.
 //!
-//! With **live reconfiguration** enabled (`set_live_reconfig(true)`, in
-//! `RunLoop` mode), program-changing operations instead *publish* as
-//! numbered generations on an epoch/RCU chain (`GenChain` in
-//! `generation.rs`) without touching any shard lock:
+//! With **live reconfiguration** enabled (`set_live_reconfig(true)`),
+//! program-changing operations instead *publish* as numbered generations
+//! on an epoch/RCU chain (`GenChain` in `generation.rs`) without touching
+//! any shard lock:
 //! `deploy` publishes a whole-program swap (with a pre-built compiled
 //! pipeline the shards adopt by cloning), entry ops publish deltas, and
 //! every dispatched packet is tagged with the generation current at
@@ -95,27 +82,27 @@
 //! Quiescence is detected at `wait_idle` (every public call that drains
 //! the rings): drained shards are fast-forwarded to the latest
 //! generation and the chain prefix every shard has adopted is reclaimed,
-//! so the chain is empty in steady state. In `BitExact` mode live
-//! reconfiguration falls back to synchronous fan-out (the oracle runs
-//! fork-join batches, so shards are idle whenever control runs).
+//! so the chain is empty in steady state.
 //!
 //! Non-program operations (instrumentation, placement, engine mode,
 //! cache flushes/limits) always fan out: they mutate shard-local runtime
 //! state, and the shard mutex serializes them at burst granularity
 //! without tearing any packet.
 //!
-//! Caveat (both modes): flow-cache *runtime state* is shard-local. Each
-//! shard has its own LRU of the configured capacity and its own insertion
-//! rate limiter, so under eviction or rate-limit pressure a sharded run
-//! can diverge from a single-threaded one (more aggregate capacity, more
-//! aggregate insertion budget). Equivalence holds exactly for programs
-//! without flow caches, and for cached programs whose working set and
-//! insertion rate stay under the per-shard limits.
+//! Caveat: flow-cache *runtime state* is shard-local. Each shard has its
+//! own LRU of the configured capacity and its own insertion rate
+//! limiter, so under eviction or rate-limit pressure a sharded run
+//! matches one [`SmartNic`](crate::SmartNic) *per shard*, each fed its
+//! `flow_hash % workers` partition, rather than a single one (more
+//! aggregate capacity, more aggregate insertion budget). Equivalence to
+//! one single-threaded NIC holds exactly for programs without flow
+//! caches, and for cached programs whose working set and insertion rate
+//! stay under the per-shard limits.
 
 use crate::backend::{LiveSwap, NicBackend};
 use crate::exec::{EngineMode, ExecReport, Executor, SampleKeying};
 use crate::generation::{GenChain, GenKind, PatchOp};
-use crate::nic::{BatchStats, NicConfig, PacketRecord, ShardMode};
+use crate::nic::{BatchStats, BatchTotals, NicConfig, ShardMode};
 use crate::observe::ExecObservations;
 use crate::packet::Packet;
 use crate::ring;
@@ -188,22 +175,14 @@ enum BatchCtx {
 /// order) after the batch drains.
 #[derive(Debug, Default)]
 struct BatchAgg {
-    dropped: u64,
-    migrations: u64,
-    counter_updates: u64,
-    bits: f64,
-    lat_sum: f64,
+    totals: BatchTotals,
     core_busy_ns: Vec<f64>,
     latencies: Vec<f64>,
 }
 
 impl BatchAgg {
     fn reset(&mut self) {
-        self.dropped = 0;
-        self.migrations = 0;
-        self.counter_updates = 0;
-        self.bits = 0.0;
-        self.lat_sum = 0.0;
+        self.totals = BatchTotals::default();
         self.core_busy_ns.clear();
         self.latencies.clear();
     }
@@ -229,9 +208,8 @@ struct ShardState {
     /// Packet index within the current measurement batch (shard-local
     /// arrival pacing).
     local_idx: u64,
-    /// Consumer side of the shard's SPSC ring; `Some` iff run-loop
-    /// workers are live.
-    rx: Option<ring::Consumer<WorkItem>>,
+    /// Consumer side of the shard's SPSC ring.
+    rx: ring::Consumer<WorkItem>,
     /// Generation this shard has adopted (0 = the construction-time
     /// program). Monotone; see [`ShardState::adopt_to`].
     gen: u64,
@@ -319,13 +297,13 @@ impl ShardState {
                 }
                 agg.core_busy_ns[core] += r.latency_ns;
                 agg.latencies.push(r.latency_ns);
-                agg.lat_sum += r.latency_ns;
-                agg.bits += (bytes * 8) as f64;
-                if r.dropped {
-                    agg.dropped += 1;
-                }
-                agg.migrations += r.migrations as u64;
-                agg.counter_updates += r.counter_updates as u64;
+                agg.totals.add(
+                    r.latency_ns,
+                    r.dropped,
+                    r.migrations as u64,
+                    r.counter_updates as u64,
+                    (bytes * 8) as f64,
+                );
             }
         }
     }
@@ -349,7 +327,7 @@ struct ShardCell {
 
 /// Dispatcher-side scratch for the window-boundary merge, reused across
 /// measurement batches so the merge path is allocation-free in steady
-/// state (see `measure_runloop`).
+/// state (see `measure_end`).
 #[derive(Debug, Default)]
 struct MergeScratch {
     core_busy_ns: Vec<f64>,
@@ -366,17 +344,12 @@ struct MeasureStream {
     batch_start_s: f64,
     line_pps: f64,
     cores: usize,
-    default_bytes: usize,
     offered_gbps: f64,
     /// Packets fed so far.
     n: u64,
-    /// `BitExact` only: per-packet records accumulated across feeds.
-    records: Vec<PacketRecord>,
-    /// `BitExact` only: global sequence base of the window.
-    base_seq: u64,
 }
 
-/// Live run-loop worker machinery (present iff mode is `RunLoop`).
+/// The persistent run-loop worker machinery.
 #[derive(Debug)]
 struct RunLoopWorkers {
     producers: Vec<ring::Producer<WorkItem>>,
@@ -391,15 +364,6 @@ struct RunLoopWorkers {
     wake_during_dispatch: bool,
 }
 
-/// Dequeues and executes everything currently in `cell`'s ring, one
-/// [`BURST`] at a time, under a single shard-lock hold, crediting
-/// `processed`. Returns how many items ran (0 when the ring is empty or
-/// the workers are torn down). Called by the shard's worker thread *and*
-/// by the dispatcher when it helps out; `buf` is the caller's reusable
-/// burst buffer. Draining to empty per lock acquisition matters at high
-/// worker counts: every acquisition switches the executing thread onto a
-/// different shard's executor state, so fewer, larger drains keep that
-/// state hot longer.
 /// Moves every staged item into the shard's ring, helping drain on
 /// ring-full backpressure, and returns how many were moved. `stage` is
 /// empty on return. (`STAGE_BURST` never exceeds ring capacity, and the
@@ -420,14 +384,19 @@ fn flush_stage(
     n
 }
 
+/// Dequeues and executes everything currently in `cell`'s ring, one
+/// [`BURST`] at a time, under a single shard-lock hold, crediting
+/// `processed`. Returns how many items ran (0 when the ring is empty).
+/// Called by the shard's worker thread *and* by the dispatcher when it
+/// helps out; `buf` is the caller's reusable burst buffer. Draining to empty per lock acquisition matters at high
+/// worker counts: every acquisition switches the executing thread onto a
+/// different shard's executor state, so fewer, larger drains keep that
+/// state hot longer.
 fn drain_burst(cell: &ShardCell, buf: &mut Vec<WorkItem>) -> usize {
     let mut st = cell.state.lock().expect("shard state poisoned");
     let mut total = 0usize;
     loop {
-        let n = match st.rx.as_mut() {
-            Some(rx) => rx.pop_burst(buf, BURST),
-            None => 0,
-        };
+        let n = st.rx.pop_burst(buf, BURST);
         if n == 0 {
             break;
         }
@@ -465,7 +434,7 @@ fn worker_loop(cell: Arc<ShardCell>) {
     let mut spins: u32 = 0;
     loop {
         if drain_burst(&cell, &mut burst) == 0 {
-            // ORDERING: Acquire — pairs with teardown's Release store:
+            // ORDERING: Acquire — pairs with `Drop`'s Release store:
             // observing `stop` also shows every item enqueued before the
             // flag was raised (checked by the fresh drain above).
             if cell.stop.load(Ordering::Acquire) {
@@ -482,7 +451,7 @@ fn worker_loop(cell: Arc<ShardCell>) {
                 // Plain park is safe: every enqueue path unparks after
                 // its Release store, and `unpark` tokens make that
                 // wakeup stick even if we were not parked yet. The
-                // teardown path also unparks after setting `stop`, and
+                // `Drop` teardown also unparks after setting `stop`, and
                 // the work-conserving dispatcher never depends on this
                 // thread making progress.
                 thread::park();
@@ -494,27 +463,20 @@ fn worker_loop(cell: Arc<ShardCell>) {
     }
 }
 
-fn keying_for(mode: ShardMode) -> SampleKeying {
-    match mode {
-        ShardMode::BitExact => SampleKeying::GlobalSeq,
-        ShardMode::RunLoop => SampleKeying::FlowKeyed,
-    }
-}
-
 /// A software SmartNIC whose datapath is sharded over `N` parallel
-/// workers by flow hash (RSS). See the module docs for the two
-/// coordination modes and their determinism guarantees.
+/// run-loop workers by flow hash (RSS). See the module docs for its
+/// determinism guarantees against the single-threaded
+/// [`SmartNic`](crate::SmartNic).
 #[derive(Debug)]
 pub struct ShardedNic {
     shards: Vec<Arc<ShardCell>>,
     /// Control replica: receives every control-plane op but no packets,
     /// so `graph()` / `params()` can be served without locking a shard.
     control: Executor,
-    run: Option<RunLoopWorkers>,
+    run: RunLoopWorkers,
     /// Items ever enqueued per shard (dispatcher-side totals, compared
     /// against `ShardCell::processed` to detect drain).
     enqueued: Vec<u64>,
-    mode: ShardMode,
     config: NicConfig,
     merge_scratch: MergeScratch,
     /// The dispatcher's own burst buffer for helping drain shard rings
@@ -523,8 +485,6 @@ pub struct ShardedNic {
     /// Per-shard tx-burst staging buffers (see [`STAGE_BURST`]); always
     /// empty between public calls.
     stage: Vec<Vec<WorkItem>>,
-    /// Global packet count; drives counter sampling in `BitExact` mode.
-    seq: u64,
     /// Global simulation clock in seconds.
     now_s: f64,
     /// Clock value at the last `take_profile` (profile window start).
@@ -552,24 +512,18 @@ pub struct ShardedNic {
 
 impl ShardedNic {
     /// Deploys `graph` on a NIC with `workers` parallel shards (clamped
-    /// to at least 1) in the default [`ShardMode::RunLoop`].
+    /// to at least 1), spawning one run-loop worker thread per shard.
     pub fn new(graph: ProgramGraph, params: CostParams, workers: usize) -> Result<Self, IrError> {
-        Self::with_mode(graph, params, workers, ShardMode::default())
-    }
-
-    /// Deploys `graph` with an explicit worker-coordination mode.
-    pub fn with_mode(
-        graph: ProgramGraph,
-        params: CostParams,
-        workers: usize,
-        mode: ShardMode,
-    ) -> Result<Self, IrError> {
         let workers = workers.max(1);
         let chain = Arc::new(GenChain::new());
+        let capacity = (RING_TOTAL_SLOTS / workers).clamp(RING_CAPACITY_MIN, RING_CAPACITY_MAX);
         let mut shards = Vec::with_capacity(workers);
+        let mut producers = Vec::with_capacity(workers);
         for _ in 0..workers {
             let mut exec = Executor::new(graph.clone(), params.clone())?;
-            exec.set_sample_keying(keying_for(mode));
+            exec.set_sample_keying(SampleKeying::FlowKeyed);
+            let (tx, rx) = ring::spsc::<WorkItem>(capacity);
+            producers.push(tx);
             shards.push(Arc::new(ShardCell {
                 state: Mutex::new(ShardState {
                     exec,
@@ -577,7 +531,7 @@ impl ShardedNic {
                     agg: BatchAgg::default(),
                     out: Vec::new(),
                     local_idx: 0,
-                    rx: None,
+                    rx,
                     gen: 0,
                     live: false,
                     gen_packets: FxHashMap::default(),
@@ -589,23 +543,33 @@ impl ShardedNic {
             }));
         }
         let control = Executor::new(graph, params)?;
-        let enqueued = vec![0; workers];
-        let mut nic = Self {
+        let mut threads = Vec::with_capacity(workers);
+        let mut joins = Vec::with_capacity(workers);
+        for cell in &shards {
+            let cell = Arc::clone(cell);
+            let handle = thread::Builder::new()
+                .name("pipeleon-shard".into())
+                .spawn(move || worker_loop(cell))
+                .expect("spawn shard worker");
+            threads.push(handle.thread().clone());
+            joins.push(handle);
+        }
+        Ok(Self {
             shards,
             control,
-            run: None,
-            enqueued,
-            mode,
-            config: NicConfig {
-                shard_mode: mode,
-                ..NicConfig::default()
+            run: RunLoopWorkers {
+                producers,
+                threads,
+                joins,
+                wake_during_dispatch: thread::available_parallelism().map_or(1, |n| n.get()) > 1,
             },
+            enqueued: vec![0; workers],
+            config: NicConfig::default(),
             merge_scratch: MergeScratch::default(),
             help_scratch: Vec::with_capacity(BURST),
             stage: (0..workers)
                 .map(|_| Vec::with_capacity(STAGE_BURST))
                 .collect(),
-            seq: 0,
             now_s: 0.0,
             last_take_s: 0.0,
             chain,
@@ -616,97 +580,32 @@ impl ShardedNic {
             spec_cfg: SpecConfig::default(),
             last_profile: RuntimeProfile::empty(),
             last_sketches: HashMap::new(),
-        };
-        if mode == ShardMode::RunLoop {
-            nic.spawn_workers();
-        }
-        Ok(nic)
+        })
     }
 
-    /// Sets the measurement configuration (including the shard mode).
+    /// Same as [`ShardedNic::new`]: [`ShardMode::RunLoop`] is the only
+    /// mode, so `mode` is ignored. Kept because the `perfbench` harness
+    /// calls it; remove it together with that call.
+    pub fn with_mode(
+        graph: ProgramGraph,
+        params: CostParams,
+        workers: usize,
+        _mode: ShardMode,
+    ) -> Result<Self, IrError> {
+        Self::new(graph, params, workers)
+    }
+
+    /// Sets the measurement configuration.
     pub fn with_config(mut self, config: NicConfig) -> Self {
         self.config = config;
-        self.set_shard_mode(config.shard_mode);
         self
     }
 
-    /// The active worker-coordination mode.
+    /// Always [`ShardMode::RunLoop`], the only mode. Kept because the
+    /// `perfbench` harness forwards [`NicBackend::shard_mode`]; remove
+    /// it together with that trait method.
     pub fn shard_mode(&self) -> ShardMode {
-        self.mode
-    }
-
-    /// Switches worker coordination, tearing down or spinning up the
-    /// persistent run-loop threads as needed. Deployed programs, caches,
-    /// and pending profile windows carry over; the sampling keying
-    /// follows the mode ([`SampleKeying::GlobalSeq`] for `BitExact`,
-    /// [`SampleKeying::FlowKeyed`] for `RunLoop`).
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.teardown_workers();
-        self.mode = mode;
-        self.config.shard_mode = mode;
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_sample_keying(keying_for(mode));
-        }
-        if mode == ShardMode::RunLoop {
-            self.spawn_workers();
-        }
-    }
-
-    fn spawn_workers(&mut self) {
-        debug_assert!(self.run.is_none());
-        let mut producers = Vec::with_capacity(self.shards.len());
-        let mut threads = Vec::with_capacity(self.shards.len());
-        let mut joins = Vec::with_capacity(self.shards.len());
-        let capacity =
-            (RING_TOTAL_SLOTS / self.shards.len()).clamp(RING_CAPACITY_MIN, RING_CAPACITY_MAX);
-        for cell in &self.shards {
-            // ORDERING: Release — clears the flag before the worker
-            // thread is spawned; `thread::spawn` itself orders this
-            // store before everything the worker does, Release keeps
-            // the pattern uniform with teardown.
-            cell.stop.store(false, Ordering::Release);
-            let (tx, rx) = ring::spsc::<WorkItem>(capacity);
-            cell.state.lock().expect("shard state poisoned").rx = Some(rx);
-            let cell = Arc::clone(cell);
-            let handle = thread::Builder::new()
-                .name("pipeleon-shard".into())
-                .spawn(move || worker_loop(cell))
-                .expect("spawn shard worker");
-            threads.push(handle.thread().clone());
-            joins.push(handle);
-            producers.push(tx);
-        }
-        self.run = Some(RunLoopWorkers {
-            producers,
-            threads,
-            joins,
-            wake_during_dispatch: thread::available_parallelism().map_or(1, |n| n.get()) > 1,
-        });
-    }
-
-    fn teardown_workers(&mut self) {
-        if let Some(run) = self.run.take() {
-            for cell in &self.shards {
-                // ORDERING: Release — everything enqueued before
-                // teardown happens-before the flag: a worker that
-                // observes `stop` (Acquire) and then finds its ring
-                // empty has provably processed all of it.
-                cell.stop.store(true, Ordering::Release);
-            }
-            for t in &run.threads {
-                t.unpark();
-            }
-            for j in run.joins {
-                j.join().expect("shard worker panicked");
-            }
-            for cell in &self.shards {
-                cell.state.lock().expect("shard state poisoned").rx = None;
-            }
-        }
+        ShardMode::RunLoop
     }
 
     /// Blocks until every shard has processed everything enqueued for
@@ -721,7 +620,7 @@ impl ShardedNic {
     /// them) or mid-execution under the shard lock (the lock acquisition
     /// inside `drain_burst` waits them out).
     fn wait_idle(&mut self) {
-        let run = self.run.as_ref().expect("run-loop workers alive");
+        let run = &self.run;
         if run.wake_during_dispatch {
             for (i, cell) in self.shards.iter().enumerate() {
                 // ORDERING: Acquire — pairs with the worker's Release
@@ -804,12 +703,6 @@ impl ShardedNic {
         self.chain.reclaim(min);
     }
 
-    /// Whether this operation should publish on the generation chain
-    /// instead of fanning out under the shard locks.
-    fn publishes_live(&self) -> bool {
-        self.live && self.mode == ShardMode::RunLoop
-    }
-
     /// Number of worker shards.
     pub fn num_workers(&self) -> usize {
         self.shards.len()
@@ -854,9 +747,7 @@ impl ShardedNic {
         if self.live == on {
             return;
         }
-        if self.run.is_some() {
-            self.wait_idle();
-        }
+        self.wait_idle();
         self.live = on;
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
@@ -891,13 +782,13 @@ impl ShardedNic {
     }
 
     /// Live-reconfigures every shard with a new program layout. With
-    /// live reconfiguration on (`RunLoop` mode) this *publishes* a new
+    /// live reconfiguration on this *publishes* a new
     /// generation concurrent with packet flow — no shard lock is taken,
     /// in-flight packets complete under the old program — and records
     /// the swap ([`ShardedNic::last_swap`]). Otherwise it fans out to
     /// every shard synchronously.
     pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        if self.publishes_live() {
+        if self.live {
             let t0 = Instant::now();
             self.control.deploy(graph.clone())?;
             // Build the compiled pipeline once, centrally: adopters
@@ -929,7 +820,7 @@ impl ShardedNic {
     /// With live reconfiguration on, a validated insert publishes as a
     /// delta generation instead of pausing the datapath.
     pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        if self.publishes_live() {
+        if self.live {
             self.control.insert_entry(node, entry.clone())?;
             self.latest_gen = self
                 .chain
@@ -950,7 +841,7 @@ impl ShardedNic {
     /// Removes a table entry by index on every shard (control-plane API).
     /// Publishes as a delta generation under live reconfiguration.
     pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        if self.publishes_live() {
+        if self.live {
             let removed = self.control.remove_entry(node, index)?;
             self.latest_gen = self
                 .chain
@@ -974,7 +865,7 @@ impl ShardedNic {
         table: Table,
         next: Option<NextHops>,
     ) -> Result<(), IrError> {
-        if self.publishes_live() {
+        if self.live {
             self.control
                 .replace_table(node, table.clone(), next.clone())?;
             self.latest_gen =
@@ -1072,18 +963,10 @@ impl ShardedNic {
     }
 
     /// Processes a batch of packets in place (no arrival pacing),
-    /// returning one report per packet in input order. In `RunLoop` mode
-    /// packets stream through the worker rings and results are scattered
-    /// back by input position; in `BitExact` mode packets run
-    /// sequentially under the global sequence schedule.
+    /// returning one report per packet in input order. Packets stream
+    /// through the worker rings and results are scattered back by input
+    /// position.
     pub fn process_batch(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
-        match self.mode {
-            ShardMode::BitExact => packets.iter_mut().map(|p| self.process_one(p)).collect(),
-            ShardMode::RunLoop => self.process_batch_runloop(packets),
-        }
-    }
-
-    fn process_batch_runloop(&mut self, packets: &mut [Packet]) -> Vec<ExecReport> {
         assert!(
             u32::try_from(packets.len()).is_ok(),
             "process_batch is limited to u32::MAX packets"
@@ -1109,7 +992,6 @@ impl ShardedNic {
             )
         }));
         self.wait_idle();
-        self.seq += packets.len() as u64;
         let mut reports: Vec<Option<ExecReport>> = vec![None; packets.len()];
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
@@ -1134,7 +1016,7 @@ impl ShardedNic {
     /// exists, a shard is additionally unparked at every flush so its
     /// worker overlaps with the arriving batch.
     fn dispatch(&mut self, items: impl Iterator<Item = (usize, WorkItem)>) {
-        let run = self.run.as_mut().expect("run-loop workers alive");
+        let run = &mut self.run;
         let shards = &self.shards;
         let help = &mut self.help_scratch;
         let enqueued = &mut self.enqueued;
@@ -1175,10 +1057,9 @@ impl ShardedNic {
     }
 
     /// Processes one packet on the shard its flow hashes to (no arrival
-    /// pacing), on the caller's thread. In `BitExact` mode the global
-    /// sequence number drives sampling, matching a single-threaded run
-    /// packet-for-packet; in `RunLoop` mode sampling is flow-keyed, so
-    /// reports match a flow-keyed single-threaded run instead.
+    /// pacing), on the caller's thread. Sampling is flow-keyed, so
+    /// reports match a flow-keyed single-threaded
+    /// [`SmartNic`](crate::SmartNic) packet-for-packet.
     pub fn process_one(&mut self, packet: &mut Packet) -> ExecReport {
         let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
         let cell = &self.shards[shard];
@@ -1194,10 +1075,6 @@ impl ShardedNic {
             *st.gen_packets.entry(g).or_insert(0) += 1;
         }
         st.exec.now_s = self.now_s;
-        if self.mode == ShardMode::BitExact {
-            st.exec.set_packet_seq(self.seq);
-        }
-        self.seq += 1;
         st.exec.process(packet)
     }
 
@@ -1236,9 +1113,8 @@ impl ShardedNic {
 
     /// Takes the merged latency observations across all shards since the
     /// last call — the window-boundary merge. Histogram merging is
-    /// bit-exact (integer bucket sums) and the sampled-packet *set* is
-    /// partition-invariant in both modes (global indices in `BitExact`,
-    /// flow-keyed decisions in `RunLoop`), so the merged histograms are
+    /// bit-exact (integer bucket sums) and the flow-keyed sampled-packet
+    /// *set* is partition-invariant, so the merged histograms are
     /// identical for any worker count.
     pub fn take_observations(&mut self) -> ExecObservations {
         let mut merged = ExecObservations::new();
@@ -1272,7 +1148,7 @@ impl ShardedNic {
     /// profile state and applies it to the compiled datapath everywhere.
     /// Returns `true` if the pipeline changed.
     ///
-    /// With live reconfiguration on (`RunLoop` mode) the specialized
+    /// With live reconfiguration on the specialized
     /// pipeline is compiled once on the control replica and *published*
     /// as a deploy generation on the epoch/RCU chain — shards adopt it
     /// concurrent with packet flow, in-flight packets complete under the
@@ -1287,7 +1163,7 @@ impl ShardedNic {
         let (profile, sketches) = self.spec_inputs();
         let plan =
             specialize::build_plan(self.control.graph(), &profile, &sketches, &self.spec_cfg);
-        if self.publishes_live() {
+        if self.live {
             let t0 = Instant::now();
             if self.control.specialize_with(&plan).is_none() {
                 return false;
@@ -1318,7 +1194,7 @@ impl ShardedNic {
     /// shard. Returns `true` if it was specialized. Under live
     /// reconfiguration this too publishes as a deploy generation.
     pub fn despecialize(&mut self) -> bool {
-        if self.publishes_live() {
+        if self.live {
             let t0 = Instant::now();
             if self.control.despecialize().is_none() {
                 return false;
@@ -1362,11 +1238,10 @@ impl ShardedNic {
 
     /// Runs a batch offered at line rate through the sharded datapath
     /// and reports achieved throughput and latency statistics. Advances
-    /// the simulation clock by the batch's arrival time. `BitExact`
-    /// results are bit-identical to
-    /// [`SmartNic::measure`](crate::SmartNic::measure); `RunLoop`
-    /// results preserve every integer statistic and the p99 exactly and
-    /// the float aggregates up to summation order (module docs).
+    /// the simulation clock by the batch's arrival time. Against
+    /// [`SmartNic::measure`](crate::SmartNic::measure) the results
+    /// preserve every integer statistic and the p99 exactly and the
+    /// float aggregates up to summation order (module docs).
     pub fn measure<I>(&mut self, packets: I) -> BatchStats
     where
         I: IntoIterator<Item = Packet>,
@@ -1387,68 +1262,49 @@ impl ShardedNic {
         let offered_gbps = self.params().line_rate_gbps;
         let default_bytes = self.config.packet_bytes;
         let batch_start_s = self.now_s;
-        if self.mode == ShardMode::RunLoop {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.ctx = BatchCtx::Measure {
-                    batch_start_s,
-                    line_pps,
-                    cores,
-                    default_bytes,
-                };
-                st.local_idx = 0;
-                st.agg.reset();
-            }
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            st.ctx = BatchCtx::Measure {
+                batch_start_s,
+                line_pps,
+                cores,
+                default_bytes,
+            };
+            st.local_idx = 0;
+            st.agg.reset();
         }
         self.measuring = Some(MeasureStream {
             batch_start_s,
             line_pps,
             cores,
-            default_bytes,
             offered_gbps,
             n: 0,
-            records: Vec::new(),
-            base_seq: self.seq,
         });
     }
 
-    /// Feeds one chunk into the open measurement window. In `RunLoop`
-    /// mode this only *dispatches* — it does not wait for the chunk to
-    /// drain, so control-plane generations published between feeds land
-    /// genuinely mid-flight. In `BitExact` mode the chunk runs to
-    /// completion (the oracle is fork-join), with global arrival indices
-    /// continuing from the previous feed.
+    /// Feeds one chunk into the open measurement window. This only
+    /// *dispatches* — it does not wait for the chunk to drain, so
+    /// control-plane generations published between feeds land genuinely
+    /// mid-flight.
     pub fn measure_feed<I>(&mut self, packets: I)
     where
         I: IntoIterator<Item = Packet>,
     {
-        match self.mode {
-            ShardMode::RunLoop => {
-                let nw = self.shards.len();
-                let gen = self.latest_gen;
-                let mut n = 0u64;
-                self.dispatch(packets.into_iter().map(|pkt| {
-                    n += 1;
-                    let shard = (pkt.flow_hash() % nw as u64) as usize;
-                    (shard, WorkItem { idx: 0, gen, pkt })
-                }));
-                self.measuring.as_mut().expect("measure_begin first").n += n;
-            }
-            ShardMode::BitExact => self.measure_feed_bitexact(packets),
-        }
+        let nw = self.shards.len();
+        let gen = self.latest_gen;
+        let mut n = 0u64;
+        self.dispatch(packets.into_iter().map(|pkt| {
+            n += 1;
+            let shard = (pkt.flow_hash() % nw as u64) as usize;
+            (shard, WorkItem { idx: 0, gen, pkt })
+        }));
+        self.measuring.as_mut().expect("measure_begin first").n += n;
     }
 
     /// Closes the measurement window: waits for every fed packet to
     /// drain (quiescing the generation chain in live mode) and returns
     /// the merged statistics for the whole window.
     pub fn measure_end(&mut self) -> BatchStats {
-        match self.mode {
-            ShardMode::RunLoop => self.measure_end_runloop(),
-            ShardMode::BitExact => self.measure_end_bitexact(),
-        }
-    }
-
-    fn measure_end_runloop(&mut self) -> BatchStats {
         self.wait_idle();
         let stream = self.measuring.take().expect("measure_begin first");
         let MeasureStream {
@@ -1457,10 +1313,8 @@ impl ShardedNic {
             cores,
             offered_gbps,
             n,
-            ..
         } = stream;
 
-        self.seq += n;
         if n > 0 {
             self.now_s = batch_start_s + n as f64 / line_pps;
         }
@@ -1475,11 +1329,7 @@ impl ShardedNic {
         scratch.core_busy_ns.resize(cores, 0.0);
         scratch.latencies.clear();
         scratch.latencies.reserve(n as usize);
-        let mut dropped = 0u64;
-        let mut migrations = 0u64;
-        let mut counter_updates = 0u64;
-        let mut total_bits = 0.0f64;
-        let mut lat_sum = 0.0f64;
+        let mut totals = BatchTotals::default();
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
             // Align every shard clock to the batch end so subsequent
@@ -1491,149 +1341,35 @@ impl ShardedNic {
                 scratch.core_busy_ns[i] += v;
             }
             scratch.latencies.extend_from_slice(&agg.latencies);
-            dropped += agg.dropped;
-            migrations += agg.migrations;
-            counter_updates += agg.counter_updates;
-            total_bits += agg.bits;
-            lat_sum += agg.lat_sum;
+            totals.merge(&agg.totals);
             agg.reset();
         }
-        if n == 0 {
-            return BatchStats {
-                packets: 0,
-                dropped: 0,
-                mean_latency_ns: 0.0,
-                p99_latency_ns: 0.0,
-                throughput_gbps: 0.0,
-                offered_gbps,
-                migrations: 0,
-                counter_updates: 0,
-            };
-        }
-        let arrival_ns = n as f64 / line_pps * 1e9;
-        let busiest_ns = scratch.core_busy_ns.iter().cloned().fold(0.0f64, f64::max);
-        let duration_ns = arrival_ns.max(busiest_ns);
-        // Same nearest-rank reduction as `BatchStats::from_records`; the
-        // sorted latency multiset is partition-invariant, so the p99 is
-        // exact.
-        scratch
-            .latencies
-            .sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-        let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, scratch.latencies.len());
-        BatchStats {
-            packets: n,
-            dropped,
-            mean_latency_ns: lat_sum / n as f64,
-            p99_latency_ns: scratch.latencies[rank - 1],
-            throughput_gbps: (total_bits / duration_ns).min(offered_gbps),
-            offered_gbps,
-            migrations,
-            counter_updates,
-        }
-    }
-
-    fn measure_feed_bitexact<I>(&mut self, packets: I)
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let mut stream = self.measuring.take().expect("measure_begin first");
-        let nw = self.shards.len();
-
-        // RSS: partition the chunk by flow hash, tagging each packet
-        // with its global arrival index — continuing from earlier feeds,
-        // so a multi-feed window replays the same global schedule as one
-        // concatenated batch.
-        let mut work: Vec<Vec<(u64, Packet)>> = (0..nw).map(|_| Vec::new()).collect();
-        let mut n = stream.n;
-        for pkt in packets {
-            let shard = (pkt.flow_hash() % nw as u64) as usize;
-            work[shard].push((n, pkt));
-            n += 1;
-        }
-
-        let batch_start_s = stream.batch_start_s;
-        let line_pps = stream.line_pps;
-        let cores = stream.cores;
-        let default_bytes = stream.default_bytes;
-        let base_seq = stream.base_seq;
-        let records = &mut stream.records;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (cell, work) in self.shards.iter().zip(work) {
-                if work.is_empty() {
-                    continue;
-                }
-                handles.push(s.spawn(move || {
-                    let mut st = cell.state.lock().expect("shard state poisoned");
-                    let exec = &mut st.exec;
-                    let mut out = Vec::with_capacity(work.len());
-                    for (gidx, mut pkt) in work {
-                        // Replay the global single-threaded schedule on
-                        // this shard: clock and sequence number are the
-                        // packet's global arrival position.
-                        exec.now_s = batch_start_s + gidx as f64 / line_pps;
-                        exec.set_packet_seq(base_seq + gidx);
-                        let core = (pkt.flow_hash() % cores as u64) as usize;
-                        let bytes = if pkt.bytes > 0 {
-                            pkt.bytes
-                        } else {
-                            default_bytes
-                        };
-                        let r = exec.process(&mut pkt);
-                        out.push(PacketRecord {
-                            arrival: gidx,
-                            core,
-                            latency_ns: r.latency_ns,
-                            dropped: r.dropped,
-                            migrations: r.migrations as u64,
-                            counter_updates: r.counter_updates as u64,
-                            bits: (bytes * 8) as f64,
-                        });
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                records.extend(h.join().expect("shard worker panicked"));
-            }
-        });
-        stream.n = n;
-        self.measuring = Some(stream);
-    }
-
-    fn measure_end_bitexact(&mut self) -> BatchStats {
-        let stream = self.measuring.take().expect("measure_begin first");
-        let MeasureStream {
-            batch_start_s,
+        // The sorted latency multiset is partition-invariant, so the p99
+        // is exact.
+        totals.reduce(
+            &scratch.core_busy_ns,
+            &mut scratch.latencies,
             line_pps,
-            cores,
             offered_gbps,
-            n,
-            mut records,
-            base_seq,
-            ..
-        } = stream;
-        records.sort_unstable_by_key(|r| r.arrival);
-
-        self.seq = base_seq + n;
-        if n > 0 {
-            let arrival_ns = n as f64 / line_pps * 1e9;
-            self.now_s = batch_start_s + arrival_ns / 1e9;
-        }
-        // Leave every shard's clock and sequence at the batch end so
-        // subsequent direct executor access observes a consistent state.
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.now_s = self.now_s;
-            st.exec.set_packet_seq(self.seq);
-        }
-        BatchStats::from_records(&records, cores, line_pps, offered_gbps)
+        )
     }
 }
 
 impl Drop for ShardedNic {
     fn drop(&mut self) {
-        self.teardown_workers();
+        for cell in &self.shards {
+            // ORDERING: Release — everything enqueued before teardown
+            // happens-before the flag: a worker that observes `stop`
+            // (Acquire) and then finds its ring empty has provably
+            // processed all of it.
+            cell.stop.store(true, Ordering::Release);
+        }
+        for t in &self.run.threads {
+            t.unpark();
+        }
+        for j in self.run.joins.drain(..) {
+            j.join().expect("shard worker panicked");
+        }
     }
 }
 
@@ -1782,30 +1518,11 @@ mod tests {
     }
 
     #[test]
-    fn bitexact_matches_single_threaded_batch_stats() {
+    fn runloop_matches_smartnic_integer_stats_and_decisions() {
         let g = linear_program(8);
         let params = CostParams::bluefield2();
-        let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
-        let mut sharded = ShardedNic::with_mode(g, params, 4, ShardMode::BitExact).unwrap();
-        single.set_instrumentation(true, 16);
-        sharded.set_instrumentation(true, 16);
-        let a = single.measure(packets(4000));
-        let b = sharded.measure(packets(4000));
-        assert_eq!(a, b);
-        assert_eq!(single.take_profile(), sharded.take_profile());
-        let obs_a = single.take_observations();
-        let obs_b = sharded.take_observations();
-        assert!(!obs_a.packet_latency.is_empty());
-        assert_eq!(obs_a, obs_b, "merged histograms must be bit-identical");
-    }
-
-    #[test]
-    fn runloop_matches_bitexact_integer_stats_and_decisions() {
-        let g = linear_program(8);
-        let params = CostParams::bluefield2();
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), 4, ShardMode::BitExact).unwrap();
-        let mut runloop = ShardedNic::with_mode(g, params, 4, ShardMode::RunLoop).unwrap();
+        let mut oracle = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let mut runloop = ShardedNic::new(g, params, 4).unwrap();
         assert_eq!(runloop.shard_mode(), ShardMode::RunLoop);
         let a = oracle.measure(packets(4000));
         let b = runloop.measure(packets(4000));
@@ -1831,9 +1548,7 @@ mod tests {
         let batch = packets(6000);
         let mut reference: Option<(RuntimeProfile, ExecObservations)> = None;
         for workers in [1usize, 2, 8] {
-            let mut nic =
-                ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-                    .unwrap();
+            let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
             nic.set_instrumentation(true, 8);
             nic.measure(batch.clone());
             let got = (nic.take_profile(), nic.take_observations());
@@ -1863,22 +1578,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_switch_preserves_program_and_keeps_working() {
-        let g = linear_program(4);
-        let mut nic = ShardedNic::new(g.clone(), CostParams::bluefield2(), 3).unwrap();
-        let s1 = nic.measure(packets(500));
-        nic.set_shard_mode(ShardMode::BitExact);
-        assert_eq!(nic.shard_mode(), ShardMode::BitExact);
-        assert_eq!(*nic.graph(), g);
-        let s2 = nic.measure(packets(500));
-        assert_eq!(s1.packets, s2.packets);
-        nic.set_shard_mode(ShardMode::RunLoop);
-        let s3 = nic.measure(packets(500));
-        assert_eq!(s3.packets, 500);
-        assert!(nic.now_s() > 0.0);
-    }
-
-    #[test]
     fn zero_workers_clamps_to_one() {
         let nic = ShardedNic::new(linear_program(2), CostParams::bluefield2(), 0).unwrap();
         assert_eq!(nic.num_workers(), 1);
@@ -1886,15 +1585,11 @@ mod tests {
 
     #[test]
     fn empty_batch_is_harmless() {
-        for mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-            let mut nic =
-                ShardedNic::with_mode(linear_program(2), CostParams::bluefield2(), 4, mode)
-                    .unwrap();
-            let s = nic.measure(Vec::new());
-            assert_eq!(s.packets, 0);
-            assert_eq!(s.throughput_gbps, 0.0);
-            assert_eq!(nic.now_s(), 0.0);
-        }
+        let mut nic = ShardedNic::new(linear_program(2), CostParams::bluefield2(), 4).unwrap();
+        let s = nic.measure(Vec::new());
+        assert_eq!(s.packets, 0);
+        assert_eq!(s.throughput_gbps, 0.0);
+        assert_eq!(nic.now_s(), 0.0);
     }
 
     #[test]

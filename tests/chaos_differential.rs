@@ -18,7 +18,7 @@ use pipeleon_runtime::{
     graph_fingerprint, Controller, ControllerConfig, FaultConfig, FaultyTarget, RuntimeError,
     SimTarget, Target,
 };
-use pipeleon_sim::{NicBackend, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::AclPipeline;
 
 /// The fixed seed matrix exercised by CI.
@@ -254,28 +254,7 @@ fn chaos_differential_sharded_runloop_seed_matrix() {
     // live reconfiguration publishes generations on.
     for &seed in &CI_SEEDS {
         chaos_run(seed, 5, |p| {
-            ShardedNic::with_mode(
-                p.graph.clone(),
-                CostParams::bluefield2(),
-                4,
-                ShardMode::RunLoop,
-            )
-            .unwrap()
-        });
-    }
-}
-
-#[test]
-fn chaos_differential_sharded_bitexact_seed_matrix() {
-    for &seed in &CI_SEEDS {
-        chaos_run(seed, 5, |p| {
-            ShardedNic::with_mode(
-                p.graph.clone(),
-                CostParams::bluefield2(),
-                4,
-                ShardMode::BitExact,
-            )
-            .unwrap()
+            ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap()
         });
     }
 }

@@ -22,8 +22,7 @@ use pipeleon_runtime::{
     SimTarget, Target,
 };
 use pipeleon_sim::{
-    BatchStats, EngineMode, ExecReport, Executor, Packet, PacketTrace, ShardMode, ShardedNic,
-    SmartNic,
+    BatchStats, EngineMode, ExecReport, Executor, Packet, PacketTrace, ShardedNic, SmartNic,
 };
 use pipeleon_workloads::scenarios::AclPipeline;
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
@@ -645,7 +644,7 @@ proptest! {
             .push(TableEntry::new(vec![MatchValue::Exact(swap_key)], 0));
 
         let mut live =
-            ShardedNic::with_mode(g.clone(), params.clone(), 2, ShardMode::RunLoop).unwrap();
+            ShardedNic::new(g.clone(), params.clone(), 2).unwrap();
         live.set_live_reconfig(true);
         let mut sync = SmartNic::new(g, params.clone()).unwrap();
         // `expected` is built purely from the op list, no datapath: the

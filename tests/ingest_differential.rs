@@ -20,7 +20,7 @@
 use pipeleon_cost::CostParams;
 use pipeleon_ir::{json, ProgramGraph};
 use pipeleon_net::{FieldMap, IngestConfig, IngestServer, IngestStats, NetClient};
-use pipeleon_sim::{NicBackend, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::LoadBalancer;
 use pipeleon_workloads::traffic::FlowGen;
 use std::time::{Duration, Instant};
@@ -105,8 +105,7 @@ fn assert_socket_matches_oracle(
     let mut oracle = batch.to_vec();
     oracle_nic.process_batch(&mut oracle);
 
-    let mut nic = ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-        .expect("sharded nic");
+    let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).expect("sharded nic");
     nic.set_live_reconfig(true);
     let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
 
@@ -190,9 +189,7 @@ fn socket_path_is_engine_invariant() {
 
     let mut echoes = Vec::new();
     for engine in [EngineMode::Compiled, EngineMode::Interpreter] {
-        let mut nic =
-            ShardedNic::with_mode(lb.graph.clone(), params.clone(), 2, ShardMode::RunLoop)
-                .expect("nic");
+        let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), 2).expect("nic");
         nic.set_engine_mode(engine);
         let (addr, server) = spawn_server(nic, map.clone(), batch.len() as u64);
         let client = NetClient::connect(addr)

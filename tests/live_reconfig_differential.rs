@@ -34,7 +34,7 @@ use pipeleon_runtime::{
     graph_fingerprint, Controller, ControllerConfig, FaultConfig, FaultyTarget, InjectedFault,
     RuntimeError, SimTarget, Target,
 };
-use pipeleon_sim::{BatchStats, ExecObservations, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{BatchStats, ExecObservations, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::AclPipeline;
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
@@ -117,7 +117,7 @@ fn live_swap_run(
 ) {
     let (g, tables) = swap_program();
     let params = CostParams::bluefield2();
-    let mut nic = ShardedNic::with_mode(g.clone(), params, workers, ShardMode::RunLoop).unwrap();
+    let mut nic = ShardedNic::new(g.clone(), params, workers).unwrap();
     nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
@@ -227,8 +227,7 @@ fn live_entry_patches_match_synchronous_smartnic() {
     let params = CostParams::bluefield2();
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
-        let mut live =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut live = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         live.set_live_reconfig(true);
         live.set_instrumentation(true, 1);
         let mut sync = SmartNic::new(g.clone(), params.clone()).unwrap();
@@ -353,8 +352,7 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     let (g, cache) = cached_flow_program();
     let params = CostParams::bluefield2();
     let run = |workers: usize| {
-        let mut nic =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
@@ -411,13 +409,7 @@ fn chaos_faults_during_mid_flight_swaps_converge_to_last_known_good() {
     let mut total_rollback_signals = 0u64;
     for &seed in &[1u64, 3, 8, 21] {
         let p = AclPipeline::build(3, 3);
-        let mut nic = ShardedNic::with_mode(
-            p.graph.clone(),
-            CostParams::bluefield2(),
-            4,
-            ShardMode::RunLoop,
-        )
-        .unwrap();
+        let mut nic = ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap();
         nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));

@@ -20,7 +20,7 @@ use pipeleon::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_net::{FieldMap, IngestConfig, IngestServer, NetClient};
 use pipeleon_runtime::{Controller, ControllerConfig, FaultConfig, FaultyTarget, SimTarget};
-use pipeleon_sim::{ShardMode, ShardedNic};
+use pipeleon_sim::ShardedNic;
 use pipeleon_workloads::scenarios::LoadBalancer;
 use std::time::{Duration, Instant};
 
@@ -35,8 +35,7 @@ fn controller_chaos_under_live_socket_traffic_loses_nothing() {
     let params = CostParams::bluefield2();
     let map = FieldMap::from_graph(&lb.graph).expect("wire contract compiles");
 
-    let mut nic = ShardedNic::with_mode(lb.graph.clone(), params.clone(), 4, ShardMode::RunLoop)
-        .expect("sharded nic");
+    let mut nic = ShardedNic::new(lb.graph.clone(), params.clone(), 4).expect("sharded nic");
     nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
 

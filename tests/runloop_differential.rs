@@ -1,8 +1,8 @@
-//! Differential suite for the run-loop sharded datapath:
-//! [`ShardMode::RunLoop`] (persistent workers fed by SPSC rings, merge
-//! deferred to window boundaries) against the [`ShardMode::BitExact`]
-//! oracle (global arrival replay), over the example programs and an
-//! 8-seed synthetic matrix at workers 1/2/8.
+//! Differential suite for the run-loop sharded datapath: a
+//! [`ShardedNic`] (persistent workers fed by SPSC rings, merge deferred
+//! to window boundaries) against the single-threaded [`SmartNic`]
+//! reference, over the example programs, the DASH routing and ACL
+//! scenarios, and an 8-seed synthetic matrix at workers 1/2/8.
 //!
 //! # The invariant set
 //!
@@ -14,24 +14,27 @@
 //!    in input order.
 //! 2. Per-flow packet order — asserted through a stateful flow-cache
 //!    program where any reordering within a flow flips hit/miss
-//!    patterns and thus reports.
+//!    patterns and thus reports. Flow-cache state is shard-local, so
+//!    the reference there is one [`SmartNic`] per shard, each fed its
+//!    `flow_hash % workers` partition in arrival order.
 //! 3. Integer batch statistics: packet, drop, migration and
 //!    counter-update counts.
 //! 4. The p99 latency — reduced from the merged latency multiset, which
-//!    is partition-invariant, so it matches the oracle bit-for-bit.
+//!    is partition-invariant, so it matches the reference bit-for-bit.
 //! 5. Window-merged profiles and latency histograms at
 //!    `sample_every == 1` (every packet sampled ⇒ the sampled set is
 //!    trivially schedule-independent).
 //! 6. Window-merged profiles and histograms across *worker counts* at
-//!    any `sample_every`: run-loop sampling is flow-keyed
-//!    ([`SampleKeying::FlowKeyed`]), so the sampled set depends only on
-//!    `(flow, per-flow index)` — the single-threaded reference is a
-//!    [`SmartNic`] with flow-keyed sampling.
+//!    any `sample_every`, window after window: run-loop sampling is
+//!    flow-keyed ([`SampleKeying::FlowKeyed`]), so the sampled set
+//!    depends only on `(flow, per-flow index)` — the single-threaded
+//!    reference is a [`SmartNic`] with flow-keyed sampling. The same
+//!    holds packet-for-packet through `process_one`.
 //!
 //! **Relaxed (asserted within tolerance):**
 //! 7. Mean latency and throughput — float sums accumulated per shard
 //!    and merged in shard order, so only summation order differs from
-//!    the oracle.
+//!    the reference.
 //!
 //! Invariant 6 is also the satellite regression for the old
 //! shared-arrival-index coupling: per-shard sequence stamping must not
@@ -43,9 +46,8 @@ use pipeleon_ir::{
     json, CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph,
     TableEntry,
 };
-use pipeleon_sim::{
-    BatchStats, ExecObservations, Packet, SampleKeying, ShardMode, ShardedNic, SmartNic,
-};
+use pipeleon_sim::{BatchStats, ExecObservations, Packet, SampleKeying, ShardedNic, SmartNic};
+use pipeleon_workloads::scenarios::{AclPipeline, DashRouting};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 use pipeleon_workloads::traffic::FlowGen;
 
@@ -111,6 +113,10 @@ fn assert_profiles_identical(a: &RuntimeProfile, b: &RuntimeProfile, ctx: &str) 
     assert_eq!(aa, ba, "{ctx}: action counters");
     assert_eq!(a.cache_stats, b.cache_stats, "{ctx}: cache stats");
     assert_eq!(a.distinct_keys, b.distinct_keys, "{ctx}: distinct keys");
+    assert_eq!(
+        a.entry_update_rates, b.entry_update_rates,
+        "{ctx}: entry update rates"
+    );
     assert_eq!(a.window_s, b.window_s, "{ctx}: window");
     assert_eq!(a, b, "{ctx}: full profile");
 }
@@ -123,8 +129,31 @@ fn assert_close(a: f64, b: f64, ctx: &str) {
     );
 }
 
+/// Histogram-by-histogram observation comparison: the packet-level
+/// histogram, the instrumented table set, each per-table histogram, then
+/// everything.
+fn assert_observations_identical(a: &ExecObservations, b: &ExecObservations, ctx: &str) {
+    assert_eq!(
+        a.packet_latency, b.packet_latency,
+        "{ctx}: packet latency histogram"
+    );
+    assert_eq!(
+        a.per_table.keys().collect::<Vec<_>>(),
+        b.per_table.keys().collect::<Vec<_>>(),
+        "{ctx}: instrumented table set"
+    );
+    for (node, hist) in &a.per_table {
+        assert_eq!(
+            b.per_table.get(node),
+            Some(hist),
+            "{ctx}: table {node:?} histogram"
+        );
+    }
+    assert_eq!(a, b, "{ctx}: merged histograms diverged");
+}
+
 /// Invariants 3, 4, 7: the merged batch statistics of a run-loop
-/// measurement against the bit-exact oracle.
+/// measurement against the single-threaded reference.
 fn assert_stats_match(oracle: BatchStats, runloop: BatchStats, ctx: &str) {
     assert_eq!(oracle.packets, runloop.packets, "{ctx}: packets");
     assert_eq!(oracle.dropped, runloop.dropped, "{ctx}: dropped");
@@ -162,8 +191,7 @@ fn assert_decisions_identical(
     ctx: &str,
 ) {
     let mut single = SmartNic::new(g.clone(), params.clone()).unwrap();
-    let mut runloop =
-        ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+    let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
     let mut a = batch.to_vec();
     let mut b = batch.to_vec();
     let ra = single.process_batch(&mut a);
@@ -180,39 +208,79 @@ fn assert_decisions_identical(
     assert_eq!(ra, rb, "{ctx}: full uninstrumented reports");
 }
 
-/// Invariant 6 (and the satellite-3 regression): window-merged profiles
-/// and histograms from run-loop nics must be bit-identical for every
-/// worker count, with a flow-keyed single-threaded [`SmartNic`] as the
-/// reference.
-fn assert_window_merge_worker_invariant(
+/// Invariants 3, 4, 7 — and 5 when `sample` is `Some(1)`: measure the
+/// same batch on the single-threaded reference and on a run-loop nic,
+/// instrumented at `sample` (or not at all).
+fn assert_measure_matches(
     g: &ProgramGraph,
     params: &CostParams,
     batch: &[Packet],
+    workers: usize,
+    sample: Option<u64>,
+    ctx: &str,
+) {
+    let mut oracle = SmartNic::new(g.clone(), params.clone()).unwrap();
+    let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+    if let Some(every) = sample {
+        oracle.set_instrumentation(true, every);
+        runloop.set_instrumentation(true, every);
+    }
+    let so = oracle.measure(batch.to_vec());
+    let sr = runloop.measure(batch.to_vec());
+    assert_stats_match(so, sr, ctx);
+    assert_eq!(oracle.now_s(), runloop.now_s(), "{ctx}: clocks diverged");
+    if sample == Some(1) {
+        // Invariant 5: at sample_every == 1 the sampled set is trivially
+        // schedule-independent, so profiles and histograms match the
+        // reference bit-for-bit too.
+        assert_profiles_identical(&oracle.take_profile(), &runloop.take_profile(), ctx);
+        assert_observations_identical(
+            &oracle.take_observations(),
+            &runloop.take_observations(),
+            &format!("{ctx}: sample=1"),
+        );
+    }
+}
+
+/// Invariant 6 (and the satellite-3 regression): window after window,
+/// batch statistics and window-merged profiles and histograms from
+/// run-loop nics must be bit-identical for every worker count, with a
+/// flow-keyed single-threaded [`SmartNic`] as the reference. Each
+/// window is measured and then taken, so the per-window clock deltas
+/// are checked too.
+fn assert_window_merge_worker_invariant(
+    g: &ProgramGraph,
+    params: &CostParams,
+    windows: &[Vec<Packet>],
     sample_every: u64,
     ctx: &str,
 ) {
     let mut reference = SmartNic::new(g.clone(), params.clone()).unwrap();
     reference.set_sample_keying(SampleKeying::FlowKeyed);
     reference.set_instrumentation(true, sample_every);
-    reference.measure(batch.to_vec());
-    let want_profile = reference.take_profile();
-    let want_obs = reference.take_observations();
-    assert!(
-        want_profile.total_packets > 0,
-        "{ctx}: sampling must pick packets"
-    );
-    for workers in WORKER_COUNTS {
-        let mut nic =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
-        nic.set_instrumentation(true, sample_every);
-        nic.measure(batch.to_vec());
-        let ctx = format!("{ctx}: workers={workers} sample={sample_every}");
-        assert_profiles_identical(&want_profile, &nic.take_profile(), &ctx);
-        assert_eq!(
-            want_obs,
-            nic.take_observations(),
-            "{ctx}: merged histograms diverged"
+    let mut nics: Vec<ShardedNic> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+            nic.set_instrumentation(true, sample_every);
+            nic
+        })
+        .collect();
+    for (window, batch) in windows.iter().enumerate() {
+        let want_stats = reference.measure(batch.clone());
+        let want_profile = reference.take_profile();
+        let want_obs = reference.take_observations();
+        assert!(
+            want_profile.total_packets > 0 && !want_obs.is_empty(),
+            "{ctx}: window={window}: sampling must pick packets"
         );
+        for (nic, workers) in nics.iter_mut().zip(WORKER_COUNTS) {
+            let ctx = format!("{ctx}: window={window} workers={workers} sample={sample_every}");
+            assert_stats_match(want_stats, nic.measure(batch.clone()), &ctx);
+            assert_eq!(reference.now_s(), nic.now_s(), "{ctx}: clocks diverged");
+            assert_profiles_identical(&want_profile, &nic.take_profile(), &ctx);
+            assert_observations_identical(&want_obs, &nic.take_observations(), &ctx);
+        }
     }
 }
 
@@ -222,31 +290,11 @@ fn assert_runloop_differential(g: &ProgramGraph, params: &CostParams, batch: &[P
     for workers in WORKER_COUNTS {
         let ctx = format!("{ctx}: workers={workers}");
         assert_decisions_identical(g, params, batch, workers, &ctx);
-
-        // Invariants 3/4/7 with instrumentation on.
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::BitExact).unwrap();
-        let mut runloop =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
-        oracle.set_instrumentation(true, 1);
-        runloop.set_instrumentation(true, 1);
-        let so = oracle.measure(batch.to_vec());
-        let sr = runloop.measure(batch.to_vec());
-        assert_stats_match(so, sr, &ctx);
-        assert_eq!(oracle.now_s(), runloop.now_s(), "{ctx}: clocks diverged");
-
-        // Invariant 5: at sample_every == 1 the sampled set is trivially
-        // schedule-independent, so profiles and histograms match the
-        // oracle bit-for-bit too.
-        assert_profiles_identical(&oracle.take_profile(), &runloop.take_profile(), &ctx);
-        assert_eq!(
-            oracle.take_observations(),
-            runloop.take_observations(),
-            "{ctx}: sample=1 histograms diverged"
-        );
+        // Invariants 3/4/5/7 with instrumentation on.
+        assert_measure_matches(g, params, batch, workers, Some(1), &ctx);
     }
     // Invariant 6 at a sparse sampling rate.
-    assert_window_merge_worker_invariant(g, params, batch, 8, ctx);
+    assert_window_merge_worker_invariant(g, params, &[batch.to_vec()], 8, ctx);
 }
 
 #[test]
@@ -328,25 +376,33 @@ fn per_flow_order_is_preserved_through_stateful_caches() {
     // is a function of the per-shard packet order, so if the run loop
     // reordered packets within a flow — or migrated a flow between
     // shards — reports and final cache occupancy would diverge from the
-    // bit-exact oracle, which replays global arrival order exactly.
+    // reference: one SmartNic per shard, each fed its `flow_hash %
+    // workers` partition in arrival order.
     let (g, cache) = cached_flow_program();
     let params = CostParams::bluefield2();
     let batch: Vec<Packet> = (0..2_000u64)
         .map(|i| Packet::with_slots(vec![(i * 31) % 96, 0]))
         .collect();
     for workers in WORKER_COUNTS {
-        let mut oracle =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::BitExact).unwrap();
-        let mut runloop =
-            ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop).unwrap();
+        let mut oracle: Vec<SmartNic> = (0..workers)
+            .map(|_| SmartNic::new(g.clone(), params.clone()).unwrap())
+            .collect();
+        let mut runloop = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
         let mut a = batch.clone();
         let mut b = batch.clone();
-        let ra = oracle.process_batch(&mut a);
+        let ra: Vec<_> = a
+            .iter_mut()
+            .map(|p| oracle[(p.flow_hash() % workers as u64) as usize].process_one(p))
+            .collect();
         let rb = runloop.process_batch(&mut b);
         assert_eq!(a, b, "workers={workers}: packet mutations diverged");
         assert_eq!(ra, rb, "workers={workers}: cache-path reports diverged");
+        let oracle_len: usize = oracle
+            .iter_mut()
+            .map(|nic| nic.executor_mut().cache_len(cache))
+            .sum();
         assert_eq!(
-            oracle.cache_len(cache),
+            oracle_len,
             runloop.cache_len(cache),
             "workers={workers}: final cache occupancy diverged"
         );
@@ -374,9 +430,7 @@ fn sampled_histogram_counts_are_worker_count_invariant() {
     for sample_every in [2u64, 8, 64] {
         let mut want: Option<(u64, ExecObservations)> = None;
         for workers in WORKER_COUNTS {
-            let mut nic =
-                ShardedNic::with_mode(g.clone(), params.clone(), workers, ShardMode::RunLoop)
-                    .unwrap();
+            let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
             nic.set_instrumentation(true, sample_every);
             nic.measure(batch.clone());
             let sampled = nic.take_profile().total_packets;
@@ -396,5 +450,88 @@ fn sampled_histogram_counts_are_worker_count_invariant() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn dash_routing_runloop_matches_oracle() {
+    // Several windows with distinct traffic phases; the sample-16
+    // window sequence compares each window's merged profile separately
+    // (take_profile resets).
+    let dash = DashRouting::build();
+    let params = CostParams::bluefield2();
+    let windows: Vec<Vec<Packet>> = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.1], [0.0, 0.5, 0.0]]
+        .iter()
+        .enumerate()
+        .map(|(phase, rates)| dash.traffic(rates, 800, 1.1, phase as u64).batch(6_000))
+        .collect();
+    for (phase, batch) in windows.iter().enumerate() {
+        assert_runloop_differential(&dash.graph, &params, batch, &format!("dash phase={phase}"));
+    }
+    assert_window_merge_worker_invariant(&dash.graph, &params, &windows, 16, "dash");
+}
+
+#[test]
+fn acl_pipeline_runloop_matches_oracle_at_sample_one() {
+    // sample_every = 1 exercises the unscaled counter path.
+    let p = AclPipeline::build(6, 4);
+    let params = CostParams::emulated_nic();
+    let batch: Vec<Packet> = p.traffic(&[0.2, 0.0, 0.1, 0.0], 400, 7).batch(5_000);
+    assert_runloop_differential(&p.graph, &params, &batch, "acl");
+}
+
+#[test]
+fn uninstrumented_runloop_runs_match_oracle() {
+    let dash = DashRouting::build();
+    let params = CostParams::agilio_cx();
+    let batch: Vec<Packet> = dash.traffic(&[0.1, 0.1, 0.1], 500, 0.0, 3).batch(4_000);
+    for workers in WORKER_COUNTS {
+        let ctx = format!("uninstrumented workers={workers}");
+        assert_measure_matches(&dash.graph, &params, &batch, workers, None, &ctx);
+    }
+}
+
+#[test]
+fn sharded_histograms_merge_bit_identically() {
+    // The observability layer rides the same sampled path: per-worker
+    // latency histograms, merged in shard order, must be bit-identical
+    // to the flow-keyed single-threaded histograms for every worker
+    // count — both the packet-level histogram and every per-table
+    // histogram.
+    let dash = DashRouting::build();
+    let params = CostParams::bluefield2();
+    let batch: Vec<Packet> = dash.traffic(&[0.2, 0.1, 0.0], 600, 1.1, 9).batch(6_000);
+    assert_window_merge_worker_invariant(&dash.graph, &params, &[batch], 8, "observations");
+}
+
+#[test]
+fn process_one_matches_oracle_across_worker_counts() {
+    // The single-packet path samples flow-keyed too, so per-packet
+    // reports and the merged profile match a flow-keyed SmartNic.
+    let p = AclPipeline::build(4, 2);
+    let params = CostParams::bluefield2();
+    for workers in WORKER_COUNTS {
+        let mut single = SmartNic::new(p.graph.clone(), params.clone()).unwrap();
+        single.set_sample_keying(SampleKeying::FlowKeyed);
+        let mut sharded = ShardedNic::new(p.graph.clone(), params.clone(), workers).unwrap();
+        single.set_instrumentation(true, 4);
+        sharded.set_instrumentation(true, 4);
+        for i in 0..200u64 {
+            let mut a = Packet::new(&p.graph.fields);
+            let mut b = Packet::new(&p.graph.fields);
+            for (k, &f) in p.flow_fields.iter().enumerate() {
+                a.set(f, i * 31 + k as u64);
+                b.set(f, i * 31 + k as u64);
+            }
+            let ra = single.process_one(&mut a);
+            let rb = sharded.process_one(&mut b);
+            assert_eq!(ra, rb, "report diverged at packet {i} workers={workers}");
+            assert_eq!(a, b, "packet contents diverged at {i} workers={workers}");
+        }
+        assert_profiles_identical(
+            &single.take_profile(),
+            &sharded.take_profile(),
+            &format!("process_one workers={workers}"),
+        );
     }
 }

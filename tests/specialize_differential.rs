@@ -6,8 +6,8 @@
 //! *bit-identical* to the unspecialized compiled engine and the
 //! interpreter. Per-packet reports (latency bits, drops, probes), packet
 //! mutations, merged profiles, batch statistics and latency histograms
-//! must all match across worker counts 1/2/8 in both shard modes, with
-//! specialization applied mid-window. Live runs additionally publish
+//! must all match across worker counts 1/2/8 on the run-loop sharded
+//! datapath, with specialization applied mid-window. Live runs additionally publish
 //! specialized pipelines through the generation-swap path and must lose
 //! zero packets.
 //!
@@ -21,7 +21,7 @@ use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
 use pipeleon_ir::{MatchValue, TableEntry};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
-use pipeleon_sim::{BatchStats, EngineMode, ExecReport, Packet, ShardMode, ShardedNic, SmartNic};
+use pipeleon_sim::{BatchStats, EngineMode, ExecReport, Packet, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use proptest::prelude::*;
 
@@ -68,7 +68,6 @@ fn assert_reports_identical(a: &ExecReport, b: &ExecReport, ctx: &str) {
 fn sharded_run(
     s: &SkewedPipeline,
     workers: usize,
-    shard_mode: ShardMode,
     engine: EngineMode,
     batch: &[Packet],
     specialize: bool,
@@ -78,7 +77,7 @@ fn sharded_run(
     pipeleon_sim::ExecObservations,
     pipeleon_sim::SpecStats,
 ) {
-    let mut nic = ShardedNic::with_mode(s.graph.clone(), params(), workers, shard_mode).unwrap();
+    let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
     nic.set_engine_mode(engine);
     nic.set_instrumentation(true, 1);
     let mid = batch.len() / 2;
@@ -95,37 +94,26 @@ fn sharded_run(
 
 /// The tentpole invariant: specialized vs unspecialized vs interpreter,
 /// bit-identical merged stats / profiles / histograms, across the worker
-/// matrix in both shard modes, with the plan applied mid-window.
+/// matrix, with the plan applied mid-window.
 #[test]
 fn specialized_runs_match_both_oracles_bit_for_bit() {
     let s = SkewedPipeline::build(3, 2);
     let batch = s.traffic(HOT_SKEW, 400, 11).batch(4_000);
-    for shard_mode in [ShardMode::RunLoop, ShardMode::BitExact] {
-        for workers in WORKER_COUNTS {
-            let ctx = format!("mode={shard_mode:?} workers={workers}");
-            let (si, pi, oi, _) = sharded_run(
-                &s,
-                workers,
-                shard_mode,
-                EngineMode::Interpreter,
-                &batch,
-                false,
-            );
-            let (sc, pc, oc, _) =
-                sharded_run(&s, workers, shard_mode, EngineMode::Compiled, &batch, false);
-            let (ss, ps, os, spec) =
-                sharded_run(&s, workers, shard_mode, EngineMode::Compiled, &batch, true);
-            assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
-            assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
-            assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
-            assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
-            assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
-            assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
-            assert!(
-                spec.specializations >= 1,
-                "{ctx}: the mid-window pass must have applied a plan"
-            );
-        }
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let (si, pi, oi, _) = sharded_run(&s, workers, EngineMode::Interpreter, &batch, false);
+        let (sc, pc, oc, _) = sharded_run(&s, workers, EngineMode::Compiled, &batch, false);
+        let (ss, ps, os, spec) = sharded_run(&s, workers, EngineMode::Compiled, &batch, true);
+        assert_stats_identical(si, sc, &format!("{ctx}: interp vs compiled"));
+        assert_stats_identical(sc, ss, &format!("{ctx}: compiled vs specialized"));
+        assert_eq!(pi, pc, "{ctx}: interp vs compiled profile");
+        assert_eq!(pc, ps, "{ctx}: compiled vs specialized profile");
+        assert_eq!(oi, oc, "{ctx}: interp vs compiled observations");
+        assert_eq!(oc, os, "{ctx}: compiled vs specialized observations");
+        assert!(
+            spec.specializations >= 1,
+            "{ctx}: the mid-window pass must have applied a plan"
+        );
     }
 }
 
@@ -191,13 +179,11 @@ fn live_specialize_swaps_lose_zero_packets() {
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
         // Oracle: same worker count, never specialized, two windows.
-        let mut oracle =
-            ShardedNic::with_mode(s.graph.clone(), params(), workers, ShardMode::RunLoop).unwrap();
+        let mut oracle = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
         oracle.set_instrumentation(true, 1);
         let w1 = oracle.measure(batch.clone());
         let w2 = oracle.measure(batch.clone());
-        let mut nic =
-            ShardedNic::with_mode(s.graph.clone(), params(), workers, ShardMode::RunLoop).unwrap();
+        let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
         nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let mid = batch.len() / 2;
