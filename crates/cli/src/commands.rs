@@ -786,8 +786,9 @@ fn serve(args: &Args) -> Result<(), String> {
     }
 }
 
-/// The serving loop proper, over either backend: plain polling, or
-/// polling interleaved with controller ticks when `--tick-packets` > 0.
+/// The serving loop proper, over either backend: one poll/idle/limit
+/// loop, with a controller tick step every `--tick-packets` frames when
+/// that is > 0.
 fn run_serve<N: pipeleon_sim::NicBackend>(
     args: &Args,
     mut server: IngestServer,
@@ -798,35 +799,45 @@ fn run_serve<N: pipeleon_sim::NicBackend>(
     limits: &ServeLimits,
 ) -> Result<(), String> {
     use pipeleon_runtime::{Controller, ControllerConfig, SimTarget};
-    let mut reg = MetricsRegistry::new();
-    let mut journal = None;
-    let mut reconfigs = None;
-    if limits.tick_packets > 0 {
+    /// The datapath alone, or owned by a controller that ticks on it.
+    enum Serving<N: pipeleon_sim::NicBackend> {
+        Bare(N),
+        Ticked(Box<Controller<SimTarget<N>>>),
+    }
+    let mut serving = if limits.tick_packets > 0 {
         let optimizer = Optimizer::new(CostModel::new(params));
-        let mut c = Controller::new(
+        let c = Controller::new(
             SimTarget::live(nic),
             g.clone(),
             optimizer,
             ControllerConfig::default(),
         )
         .map_err(|e| e.to_string())?;
-        let mut last_rx = Instant::now();
-        let mut ticked_at = 0u64;
-        loop {
-            let received = server
-                .poll_once(&mut c.target.nic, map)
-                .map_err(|e| format!("socket error on {:?}: {e}", g.name))?;
-            if received == 0 {
-                if limits.idle_timeout > Duration::ZERO && last_rx.elapsed() >= limits.idle_timeout
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                last_rx = Instant::now();
+        Serving::Ticked(Box::new(c))
+    } else {
+        Serving::Bare(nic)
+    };
+    let mut last_rx = Instant::now();
+    let mut ticked_at = 0u64;
+    loop {
+        let nic = match &mut serving {
+            Serving::Bare(nic) => nic,
+            Serving::Ticked(c) => &mut c.target.nic,
+        };
+        let received = server
+            .poll_once(nic, map)
+            .map_err(|e| format!("socket error on {:?}: {e}", g.name))?;
+        if received == 0 {
+            if limits.idle_timeout > Duration::ZERO && last_rx.elapsed() >= limits.idle_timeout {
+                break;
             }
-            let frames = server.stats().frames;
-            if frames >= ticked_at + limits.tick_packets {
+            std::thread::sleep(Duration::from_micros(200));
+        } else {
+            last_rx = Instant::now();
+        }
+        let frames = server.stats().frames;
+        match &mut serving {
+            Serving::Ticked(c) if frames >= ticked_at + limits.tick_packets => {
                 ticked_at = frames;
                 let r = c.tick().map_err(|e| e.to_string())?;
                 eprintln!(
@@ -844,40 +855,26 @@ fn run_serve<N: pipeleon_sim::NicBackend>(
                     }
                 );
             }
-            if limits.max_packets > 0 && frames >= limits.max_packets {
-                break;
-            }
+            _ => {}
         }
-        let obs = c.target.nic.take_observations();
-        datapath_metrics_into(c.metrics_mut(), g, None, &obs);
-        server.metrics_into(c.metrics_mut());
-        reg = std::mem::take(c.metrics_mut());
-        journal = Some(c.journal().clone());
-        reconfigs = Some(c.reconfig_count);
-    } else {
-        let mut nic = nic;
-        let mut last_rx = Instant::now();
-        loop {
-            let received = server
-                .poll_once(&mut nic, map)
-                .map_err(|e| format!("socket error on {:?}: {e}", g.name))?;
-            if received == 0 {
-                if limits.idle_timeout > Duration::ZERO && last_rx.elapsed() >= limits.idle_timeout
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                last_rx = Instant::now();
-            }
-            if limits.max_packets > 0 && server.stats().frames >= limits.max_packets {
-                break;
-            }
+        if limits.max_packets > 0 && frames >= limits.max_packets {
+            break;
         }
-        let obs = nic.take_observations();
-        datapath_metrics_into(&mut reg, g, None, &obs);
-        server.metrics_into(&mut reg);
     }
+    let (mut reg, journal, reconfigs) = match serving {
+        Serving::Bare(mut nic) => {
+            let mut reg = MetricsRegistry::new();
+            datapath_metrics_into(&mut reg, g, None, &nic.take_observations());
+            (reg, None, None)
+        }
+        Serving::Ticked(mut c) => {
+            let obs = c.target.nic.take_observations();
+            let mut reg = std::mem::take(c.metrics_mut());
+            datapath_metrics_into(&mut reg, g, None, &obs);
+            (reg, Some(c.journal().clone()), Some(c.reconfig_count))
+        }
+    };
+    server.metrics_into(&mut reg);
     let s = server.stats();
     println!("frames served:     {}", s.frames);
     println!("responses sent:    {}", s.responses);

@@ -15,15 +15,20 @@
 //! * [`wire`] — the frame codec: symmetric [`encode`]/[`decode`] over
 //!   Eth/IPv4/UDP plus a slot-residue payload section; total over
 //!   arbitrary bytes (typed [`DecodeError`], never a panic).
-//! * [`ingest`] — the serving loop: [`IngestServer`] recv-bursts
-//!   datagrams, decodes in batches, feeds `process_batch`, tx-bursts
-//!   responses, and accounts every drop; end-to-end latency lands in a
-//!   `pipeleon_e2e_latency_ns` histogram.
+//! * [`ingest`] — the serving loop: [`IngestServer`] pulls each burst
+//!   with one `recvmmsg`, decodes it into reused packets, feeds
+//!   `process_batch`, and sends every response with one `sendmmsg`
+//!   (per-peer runs as `UDP_SEGMENT` messages), accounting every drop;
+//!   end-to-end latency lands in a `pipeleon_e2e_latency_ns` histogram.
+//! * `sys` (private) — the hand-declared Linux `recvmmsg`/`sendmmsg`
+//!   bindings and the header arrays the server drives them with.
 //! * [`client`] — the loopback traffic driver: [`NetClient`] replays
 //!   workload batches over a real socket with per-request RTT capture.
 //!
-//! No external dependencies and no unsafe code: the crate is plain std
-//! `UdpSocket` over the workspace's own IR/sim/obs crates.
+//! No external dependencies: std `UdpSocket` over the workspace's own
+//! IR/sim/obs crates, plus the C library std already links. `unsafe`
+//! is denied everywhere except `sys`, where every site carries a
+//! `// SAFETY:` comment. Linux only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,12 +36,15 @@
 pub mod client;
 pub mod fieldmap;
 pub mod ingest;
+mod sys;
 pub mod wire;
 
 pub use client::{ClientError, Echo, NetClient, ReplayReport};
 pub use fieldmap::{FieldMap, MapError, WireField};
 pub use ingest::{IngestConfig, IngestServer, IngestStats};
-pub use wire::{decode, encode, encode_into, DecodeError, DecodedFrame, EncodeError};
+pub use wire::{
+    decode, decode_into, encode, encode_into, DecodeError, DecodedFrame, EncodeError, FrameMeta,
+};
 
 #[cfg(test)]
 mod tests {

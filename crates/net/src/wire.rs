@@ -317,8 +317,37 @@ pub fn encode(
 /// Decodes `buf` under the program's field map.
 ///
 /// Total function over arbitrary bytes: every malformed input returns a
-/// typed [`DecodeError`], never a panic.
+/// typed [`DecodeError`], never a panic. A thin wrapper over
+/// [`decode_into`] with a fresh packet.
 pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
+    let mut packet = Packet::with_slots(Vec::new());
+    let meta = decode_into(buf, map, &mut packet)?;
+    Ok(DecodedFrame {
+        packet,
+        seq: meta.seq,
+        response: meta.response,
+    })
+}
+
+/// The trailer fields of a decoded frame that are not packet state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameMeta {
+    /// Caller-chosen sequence number echoed verbatim in responses.
+    pub seq: u64,
+    /// True when the RESPONSE flag was set (server → client verdict).
+    pub response: bool,
+}
+
+/// Decodes `buf` into `packet`, overwriting every field of it: on
+/// success `packet` equals what [`decode`] would return, whatever it
+/// held before, and its slot storage is reused (no allocation once it
+/// has grown to the map's slot count). On error `packet` is left in an
+/// unspecified but valid state.
+pub fn decode_into(
+    buf: &[u8],
+    map: &FieldMap,
+    packet: &mut Packet,
+) -> Result<FrameMeta, DecodeError> {
     let fixed = HDR_LEN + PAYLOAD_FIXED;
     if buf.len() < fixed {
         return Err(DecodeError::Truncated {
@@ -361,7 +390,7 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
         });
     }
 
-    let mut packet = Packet::with_slots(vec![0u64; map.slot_count()]);
+    packet.reset(map.slot_count());
     for (w, fref) in map.bound() {
         let v = match w {
             WireField::EthDst => be64(buf, 0) >> 16,
@@ -388,8 +417,7 @@ pub fn decode(buf: &[u8], map: &FieldMap) -> Result<DecodedFrame, DecodeError> {
     } else {
         None
     };
-    Ok(DecodedFrame {
-        packet,
+    Ok(FrameMeta {
         seq: be64(buf, p + 12),
         response: flags & FLAG_RESPONSE != 0,
     })
@@ -425,6 +453,23 @@ mod tests {
         assert_eq!(d.packet, p);
         assert_eq!(d.seq, 42);
         assert!(d.response);
+    }
+
+    #[test]
+    fn decode_into_overwrites_every_field_of_a_reused_packet() {
+        let (g, m) = map_for(&["ipv4.src", "meta.a"]);
+        let mut p = Packet::new(&g.fields);
+        p.set(g.fields.get("ipv4.src").unwrap(), 0x0A00_0001);
+        let buf = encode(&p, &m, 5, false).unwrap();
+        let mut dirty = Packet::with_slots(vec![9; 7]);
+        dirty.bytes = 3;
+        dirty.dropped = true;
+        dirty.egress_port = Some(4);
+        let meta = decode_into(&buf, &m, &mut dirty).unwrap();
+        let fresh = decode(&buf, &m).unwrap();
+        assert_eq!(dirty, fresh.packet);
+        assert_eq!(dirty, p);
+        assert_eq!((meta.seq, meta.response), (fresh.seq, fresh.response));
     }
 
     #[test]

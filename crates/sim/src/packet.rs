@@ -37,6 +37,17 @@ impl Packet {
         }
     }
 
+    /// Resets to the state of `Packet::with_slots(vec![0; slots])`,
+    /// reusing the slot storage: no allocation once it has grown to
+    /// `slots`.
+    pub fn reset(&mut self, slots: usize) {
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        self.bytes = Self::DEFAULT_BYTES;
+        self.dropped = false;
+        self.egress_port = None;
+    }
+
     /// Reads a field slot (0 if out of range — packets built for a
     /// narrower field space read unset fields as zero).
     pub fn get(&self, field: FieldRef) -> u64 {
@@ -101,6 +112,18 @@ mod tests {
         p.set(FieldRef(9), 42);
         assert_eq!(p.get(FieldRef(9)), 42);
         assert_eq!(p.slots().len(), 10);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_packet() {
+        let mut p = Packet::with_slots(vec![7; 12]);
+        p.bytes = 64;
+        p.dropped = true;
+        p.egress_port = Some(3);
+        p.reset(4);
+        assert_eq!(p, Packet::with_slots(vec![0; 4]));
+        p.reset(6);
+        assert_eq!(p, Packet::with_slots(vec![0; 6]));
     }
 
     #[test]
