@@ -12,6 +12,10 @@ use pipeleon_ir::ProgramGraph;
 use pipeleon_workloads::profiles::{random_profile, ProfileSynthConfig};
 use pipeleon_workloads::synth::{synthesize, MatchMix, SynthConfig};
 
+/// One optimization technique in isolation: its name and how it narrows
+/// the optimizer config.
+type Technique = (&'static str, fn(&mut OptimizerConfig));
+
 #[derive(Clone, Copy)]
 enum Category {
     HeavyDrop,
@@ -120,7 +124,7 @@ fn main() {
     ]);
     let params = CostParams::emulated_nic();
     let model = CostModel::new(params);
-    let techniques: [(&str, fn(&mut OptimizerConfig)); 3] = [
+    let techniques: [Technique; 3] = [
         ("reordering", |c| {
             c.enable_cache = false;
             c.enable_merge = false;

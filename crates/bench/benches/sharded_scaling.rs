@@ -163,7 +163,7 @@ fn main() {
         let mut base: Option<(f64, BatchStats, u64)> = None;
         for (&workers, (pps, stats, fp)) in worker_counts.iter().zip(results) {
             if workers == 1 {
-                base = Some((pps, stats.clone(), fp));
+                base = Some((pps, stats, fp));
             }
             let (base_pps, base_stats, base_fp) = base.as_ref().unwrap();
             assert_identical_to_base(workers, &stats, fp, base_stats, *base_fp);

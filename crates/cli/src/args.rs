@@ -12,22 +12,24 @@ pub struct Args {
 
 /// Flags that take no value (presence alone means `true`). Every other
 /// flag consumes exactly one value.
-const BOOL_FLAGS: &[&str] = &[
-    "deny-warnings",
-    "live-reconfig",
-    "concurrency",
-    "no-specialize",
-];
+const BOOL_FLAGS: &[&str] = &["deny-warnings", "concurrency", "no-specialize"];
 
 /// Parses `argv` (without the program name). Flags take exactly one value
 /// unless listed in [`BOOL_FLAGS`]; a trailing valued flag without its
-/// value is an error.
+/// value, or the removed `live-reconfig` switch, is an error.
 pub fn parse(argv: &[String]) -> Result<Args, String> {
     let mut out = Args::default();
     let mut i = 0;
     while i < argv.len() {
         let a = &argv[i];
         if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
+            if name == "live-reconfig" {
+                // Rejected by name: parsed as a valued flag, the removed
+                // switch would silently swallow the next argument.
+                return Err(format!(
+                    "flag --{name} was removed: reconfiguration is always live"
+                ));
+            }
             if BOOL_FLAGS.contains(&name) {
                 out.flags.insert(name.to_owned(), "true".to_owned());
                 i += 1;

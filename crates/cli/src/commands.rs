@@ -32,8 +32,7 @@ USAGE:
            [--sample N] [--engine compiled|interp]
            [--batch N] [--profile-out p.json]
            [--metrics-out m.prom|m.json] [--journal-out j.jsonl]
-           [--live-reconfig] [--no-specialize]
-           [--chaos-seed S [--windows N]]
+           [--no-specialize] [--chaos-seed S [--windows N]]
   pipeleon metrics  <program> [--target T] [--packets N]
            [--flows N] [--zipf S] [--seed S] [--sample N]
            [-o m.prom|m.json]
@@ -42,7 +41,7 @@ USAGE:
   pipeleon analyze  --concurrency [repo-root] [--format text|json]
   pipeleon serve    <program> [--listen ADDR] [--target T] [--workers N]
            [--engine compiled|interp] [--shard-mode run-loop]
-           [--batch N] [--burst N] [--sample N] [--live-reconfig]
+           [--batch N] [--burst N] [--sample N]
            [--max-packets N] [--idle-timeout-ms MS] [--tick-packets N]
            [--addr-file f] [--metrics-out m.prom|m.json]
            [--journal-out j.jsonl]
@@ -446,7 +445,6 @@ fn simulate(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         let stats = measure_with_spec(&mut nic, batch, specialize);
         let spec = nic.spec_stats();
@@ -458,7 +456,6 @@ fn simulate(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         let stats = measure_with_spec(&mut nic, batch, specialize);
         let spec = SmartNic::spec_stats(&nic);
@@ -579,8 +576,6 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
         Target,
     };
     nic.set_instrumentation(true, 1);
-    let live = args.get_bool("live-reconfig");
-    nic.set_live_reconfig(live);
     let g = nic.graph().clone();
     let params = nic.params().clone();
     let optimizer = Optimizer::new(CostModel::new(params));
@@ -595,29 +590,20 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
     c.target.set_armed(true);
     let windows = windows.max(1);
     let per_window = (batch.len() / windows).max(1);
-    println!(
-        "chaos run: seed {seed}, {windows} windows x {per_window} packets{}",
-        if live { " (live reconfiguration)" } else { "" }
-    );
+    println!("chaos run: seed {seed}, {windows} windows x {per_window} packets");
     let (mut offered, mut processed) = (0u64, 0u64);
     for (w, chunk) in batch.chunks(per_window).take(windows).enumerate() {
-        let r = if live {
-            // Keep the measurement window open across the controller
-            // tick: whatever the tick deploys publishes as a generation
-            // swap with the window's traffic genuinely in flight.
-            let mid = chunk.len() / 2;
-            c.target.inner.nic.measure_begin();
-            c.target.inner.nic.measure_feed(chunk[..mid].to_vec());
-            let r = c.tick().map_err(|e| e.to_string())?;
-            c.target.inner.nic.measure_feed(chunk[mid..].to_vec());
-            let s = c.target.inner.nic.measure_end();
-            offered += chunk.len() as u64;
-            processed += s.packets;
-            r
-        } else {
-            c.target.inner.nic.measure_batch(chunk.to_vec());
-            c.tick().map_err(|e| e.to_string())?
-        };
+        // Keep the measurement window open across the controller tick:
+        // whatever the tick deploys is swapped in with the window's
+        // traffic still flowing.
+        let mid = chunk.len() / 2;
+        c.target.inner.nic.measure_begin();
+        c.target.inner.nic.measure_feed(chunk[..mid].to_vec());
+        let r = c.tick().map_err(|e| e.to_string())?;
+        c.target.inner.nic.measure_feed(chunk[mid..].to_vec());
+        let s = c.target.inner.nic.measure_end();
+        offered += chunk.len() as u64;
+        processed += s.packets;
         let h = &r.health;
         let mut line = format!(
             "window {:>2}: change {:>6.3}  {}",
@@ -669,13 +655,11 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
             "DIVERGED"
         }
     );
-    if live {
-        let swaps = c.target.last_swap().map_or(0, |s| s.generation);
-        println!(
-            "live datapath:     {processed} of {offered} packets processed across swaps, \
-             generation {swaps}"
-        );
-    }
+    let swaps = c.target.last_swap().map_or(0, |s| s.generation);
+    println!(
+        "live datapath:     {processed} of {offered} packets processed across swaps, \
+         generation {swaps}"
+    );
     // Fold the injector's op log into the controller's journal so the
     // postmortem timeline shows faults next to the loop's reactions —
     // each at the datapath clock where it fired, so `--journal-out`
@@ -707,7 +691,7 @@ fn chaos_simulate<N: pipeleon_sim::NicBackend>(
     if !verified {
         return Err("chaos run ended with the target diverged from controller bookkeeping".into());
     }
-    if live && processed != offered {
+    if processed != offered {
         return Err(format!(
             "live reconfiguration lost traffic: {processed} of {offered} packets processed"
         ));
@@ -729,8 +713,8 @@ struct ServeLimits {
 /// datapath. Frames decode via the program's wire contract, run through
 /// `process_batch`, and each verdict is echoed to its sender. With
 /// `--tick-packets N` the runtime controller ticks against the serving
-/// backend every N frames, reoptimizing (and, with `--live-reconfig`,
-/// generation-swapping) under the socket traffic.
+/// backend every N frames, reoptimizing and swapping generations in
+/// under the socket traffic.
 fn serve(args: &Args) -> Result<(), String> {
     let params = target(args)?;
     let g = load_program(args)?;
@@ -772,7 +756,6 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(nic_config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         run_serve(args, server, nic, &g, params, &map, &limits)
     } else {
@@ -780,7 +763,6 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .with_config(nic_config);
         nic.set_engine_mode(engine);
-        nic.set_live_reconfig(args.get_bool("live-reconfig"));
         nic.set_instrumentation(true, sample);
         run_serve(args, server, nic, &g, params, &map, &limits)
     }
@@ -1227,6 +1209,20 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("--shard-mode"), "unexpected error: {err}");
         }
+        // A removed flag fails loudly instead of swallowing the next
+        // argument as its value.
+        let err = run(&v(&[
+            "simulate",
+            prog.to_str().unwrap(),
+            "--live-reconfig",
+            "--journal-out",
+            "j",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--live-reconfig") && err.contains("always live"),
+            "unexpected error: {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -256,12 +256,15 @@ impl<T: Target> Controller<T> {
             journal,
             metrics,
             clock_s: 0.0,
-            last_swap_gen: 0,
+            // Construction installs the program rather than swapping one
+            // in: no swap is journaled until the baseline below.
+            last_swap_gen: u64::MAX,
             last_spec_gen: 0,
             last_spec_stats: SpecStats::default(),
         };
         let (g, j) = (this.last_good.graph.clone(), this.last_good.json.clone());
         this.deploy_transaction(g, &j)?;
+        this.last_swap_gen = this.target.last_swap().map_or(0, |s| s.generation);
         Ok(this)
     }
 
@@ -372,12 +375,12 @@ impl<T: Target> Controller<T> {
         }
     }
 
-    /// Records the live generation swap a verified deploy just performed,
-    /// if the target reports one it has not journaled yet: a
-    /// `generation_swap` journal event on the controller clock plus the
-    /// swap metrics (publish-latency histogram, active-generation gauge,
-    /// packets-in-flight counter). A no-op on targets without a live
-    /// datapath.
+    /// Records the generation swap a verified deploy (or a sharded
+    /// (de)specialization) just performed, if the target reports one it
+    /// has not journaled yet: a `generation_swap` journal event on the
+    /// controller clock plus the swap metrics (publish-latency
+    /// histogram, active-generation gauge, packets-in-flight counter). A
+    /// no-op on targets that report no swaps.
     fn note_swap(&mut self) {
         let Some(swap) = self.target.last_swap() else {
             return;
@@ -398,6 +401,34 @@ impl<T: Target> Controller<T> {
         m.observe("pipeleon_swap_latency_ns", &[], swap.latency_ns);
         m.gauge_set("pipeleon_active_generation", &[], swap.generation as f64);
         m.counter_add("pipeleon_inflight_at_swap_total", &[], swap.in_flight);
+    }
+
+    /// Ends the pending profile window ahead of a deploy no tick
+    /// brackets (an operator plan, a revert, the repair pass). A deploy
+    /// carries the window over, but counts are only meaningful in one
+    /// layout — merged-node ids can be reused across layouts — so one
+    /// counter map cannot translate a window that spans two. The
+    /// window's counts, and the entry updates counted with them, are
+    /// dropped; its time stays on the controller clock. Returns whether
+    /// the window saw traffic.
+    fn drop_window(&mut self) -> bool {
+        let raw = self.target.take_profile();
+        self.clock_s += raw.window_s;
+        self.update_counts.clear();
+        !raw.is_empty()
+    }
+
+    /// Counts one healthy window while the breaker is open, closing it
+    /// once the cooldown has run out.
+    fn cool_down(&mut self) {
+        if self.health.cooldown_remaining > 0 {
+            self.health.cooldown_remaining -= 1;
+        }
+        if self.health.cooldown_remaining == 0 {
+            self.health.degraded = false;
+            self.health.consecutive_deploy_failures = 0;
+            self.journal.push(self.clock_s, EventKind::BreakerClosed);
+        }
     }
 
     /// Deploys the original program and makes it the deployed state.
@@ -563,8 +594,8 @@ impl<T: Target> Controller<T> {
         } else if !drifted {
             self.target.specialize();
         }
-        // A live sharded datapath publishes (de)specializations through
-        // the generation chain — record the swap like any live deploy.
+        // A sharded datapath publishes (de)specializations through the
+        // generation chain — record the swap like any deploy.
         self.note_swap();
         let after = self.target.spec_stats();
         if after.generation > self.last_spec_gen {
@@ -621,19 +652,29 @@ impl<T: Target> Controller<T> {
     fn tick_inner(&mut self) -> Result<(TickReport, Option<WindowInfo>), RuntimeError> {
         // Repair pass: if an earlier rollback failed, the target may be
         // running a stale layout — re-pin before trusting anything else.
-        if self.health.pin_pending && self.pin_original().is_err() {
-            self.health.consecutive_deploy_failures += 1;
-            if self.health.consecutive_deploy_failures >= self.cfg.degrade_after
-                && !self.health.degraded
-            {
-                self.health.degraded = true;
-                self.health.cooldown_remaining = self.cfg.cooldown_ticks;
-                self.journal.push(
-                    self.clock_s,
-                    EventKind::BreakerOpened {
-                        cooldown_ticks: self.cfg.cooldown_ticks,
-                    },
-                );
+        // The window holds counts from that stale layout, so it is
+        // dropped and this tick ends at the pin; with the breaker open, a
+        // window with traffic still counts toward closing it.
+        if self.health.pin_pending {
+            let traffic = self.drop_window();
+            if self.pin_original().is_ok() {
+                if self.health.degraded && traffic {
+                    self.cool_down();
+                }
+            } else {
+                self.health.consecutive_deploy_failures += 1;
+                if self.health.consecutive_deploy_failures >= self.cfg.degrade_after
+                    && !self.health.degraded
+                {
+                    self.health.degraded = true;
+                    self.health.cooldown_remaining = self.cfg.cooldown_ticks;
+                    self.journal.push(
+                        self.clock_s,
+                        EventKind::BreakerOpened {
+                            cooldown_ticks: self.cfg.cooldown_ticks,
+                        },
+                    );
+                }
             }
             return Ok((self.report_only(0.0), None));
         }
@@ -709,14 +750,7 @@ impl<T: Target> Controller<T> {
             // re-optimization runs; each healthy window counts toward
             // closing the breaker.
             self.last_profile = Some(profile);
-            if self.health.cooldown_remaining > 0 {
-                self.health.cooldown_remaining -= 1;
-            }
-            if self.health.cooldown_remaining == 0 {
-                self.health.degraded = false;
-                self.health.consecutive_deploy_failures = 0;
-                self.journal.push(self.clock_s, EventKind::BreakerClosed);
-            }
+            self.cool_down();
             report.health = self.health.clone();
             return Ok((report, Some(window)));
         }
@@ -868,7 +902,10 @@ impl<T: Target> Controller<T> {
     /// performs **no target operation whatsoever** — the deployed layout
     /// and the target's fingerprint are untouched. Legal plans are
     /// applied against the original program and deployed through the same
-    /// transactional path as [`Controller::tick`].
+    /// transactional path as [`Controller::tick`]. The pending profile
+    /// window ends at the deploy: its counts are dropped and its time
+    /// stays on the controller clock, so the next tick profiles only the
+    /// new layout.
     pub fn deploy_plan(&mut self, plan: &pipeleon::plan::GlobalPlan) -> Result<(), RuntimeError> {
         self.verify_plan(plan)?;
         let profile = self
@@ -890,6 +927,7 @@ impl<T: Target> Controller<T> {
         if json == self.last_good.json {
             return Ok(()); // already running this layout
         }
+        self.drop_window();
         match self.deploy_transaction(applied.graph.clone(), &json) {
             Ok(()) => {
                 self.health.consecutive_deploy_failures = 0;
@@ -1139,9 +1177,11 @@ impl<T: Target> Controller<T> {
     }
 
     /// Abandons the optimized layout and redeploys the original program
-    /// (merge revert, §3.2.3). On failure the controller reports a typed
-    /// error and re-attempts the pin at the start of the next tick.
+    /// (merge revert, §3.2.3). Like [`Controller::deploy_plan`], it ends
+    /// the pending profile window. On failure the controller reports a
+    /// typed error and re-attempts the pin at the start of the next tick.
     pub fn revert_to_original(&mut self) -> Result<(), RuntimeError> {
+        self.drop_window();
         match self.pin_original() {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -1304,7 +1344,7 @@ mod tests {
     use crate::target::{graph_fingerprint, SimTarget};
     use pipeleon_cost::{CostModel, CostParams};
     use pipeleon_ir::{MatchKind, MatchValue, ProgramBuilder};
-    use pipeleon_sim::{Packet, SmartNic};
+    use pipeleon_sim::{NicBackend, Packet, ShardedNic, SmartNic};
     use pipeleon_workloads::scenarios::{AclPipeline, ACL_DROP_VALUE};
 
     fn controller_for(p: &AclPipeline, cfg: ControllerConfig) -> Controller<SimTarget> {
@@ -1910,6 +1950,17 @@ mod tests {
         pipeleon::plan::GlobalPlan,
         pipeleon::plan::GlobalPlan,
     ) {
+        hazard_controller_on(|g| SmartNic::new(g, CostParams::bluefield2()).unwrap())
+    }
+
+    /// [`hazard_controller`] over any datapath `make` builds.
+    fn hazard_controller_on<N: NicBackend>(
+        make: impl FnOnce(ProgramGraph) -> N,
+    ) -> (
+        Controller<SimTarget<N>>,
+        pipeleon::plan::GlobalPlan,
+        pipeleon::plan::GlobalPlan,
+    ) {
         use pipeleon::plan::{Candidate, GlobalPlan, Segment, SegmentKind};
         let mut b = ProgramBuilder::new();
         let fa = b.field("a");
@@ -1926,7 +1977,7 @@ mod tests {
             .entry(pipeleon_ir::TableEntry::new(vec![MatchValue::Exact(7)], 0))
             .finish();
         let g = b.seal_sequential().unwrap();
-        let nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
+        let nic = make(g.clone());
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let c = Controller::new(
             SimTarget::live(nic),
@@ -2005,5 +2056,94 @@ mod tests {
         // Redeploying the identical plan is a no-op (already running).
         c.deploy_plan(&legal).unwrap();
         assert_eq!(c.reconfig_count, 1);
+    }
+
+    /// A window fed in two halves around a mid-feed `deploy_plan`, then
+    /// ticked: returns the journaled windows, the clock advance and the
+    /// interval the traffic spanned.
+    fn deploy_plan_mid_feed<N: NicBackend>(
+        make: impl FnOnce(ProgramGraph) -> N,
+    ) -> (Vec<(f64, u64)>, f64, f64) {
+        let (mut c, _, legal) = hazard_controller_on(make);
+        c.target.nic.set_instrumentation(true, 1);
+        let burst = |n: u64| (0..n).map(|i| Packet::with_slots(vec![i % 4, 0])).collect();
+        let clock_before = c.clock_s();
+        c.target.nic.measure_begin();
+        c.target.nic.measure_feed(burst(300));
+        c.deploy_plan(&legal).unwrap();
+        c.target.nic.measure_feed(burst(200));
+        c.target.nic.measure_end();
+        let interval = c.target.nic.now_s();
+        c.tick().unwrap();
+        let windows = c
+            .journal()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::WindowProfiled {
+                    window_s, packets, ..
+                } => Some((window_s, packets)),
+                _ => None,
+            })
+            .collect();
+        (windows, c.clock_s() - clock_before, interval)
+    }
+
+    #[test]
+    fn deploy_plan_mid_window_ends_the_window_but_not_the_clock() {
+        let reference =
+            deploy_plan_mid_feed(|g| SmartNic::new(g, CostParams::bluefield2()).unwrap());
+        for workers in [1, 2, 4] {
+            let (windows, advanced, interval) = deploy_plan_mid_feed(|g| {
+                ShardedNic::new(g, CostParams::bluefield2(), workers).unwrap()
+            });
+            assert_eq!(
+                (&windows, advanced, interval),
+                (&reference.0, reference.1, reference.2),
+                "workers={workers}: the sharded target keeps SmartNic's clock"
+            );
+        }
+        let (windows, advanced, interval) = reference;
+        assert!(interval > 0.0);
+        // The 300 packets of the original layout were dropped with the
+        // window the deploy ended; the tick profiled the new layout only.
+        assert_eq!(windows.len(), 1, "{windows:?}");
+        assert_eq!(windows[0].1, 200, "{windows:?}");
+        assert!(windows[0].0 < 0.5 * interval, "{windows:?}");
+        assert!(
+            (advanced - interval).abs() <= 1e-12 * interval,
+            "clock advanced {advanced} s over a {interval} s interval"
+        );
+    }
+
+    #[test]
+    fn repair_pass_counts_toward_closing_the_breaker() {
+        let p = AclPipeline::build(3, 3);
+        let cfg = ControllerConfig {
+            always_reoptimize: true,
+            max_deploy_retries: 0,
+            degrade_after: 1,
+            cooldown_ticks: 2,
+            ..ControllerConfig::default()
+        };
+        let mut c = faulty_controller_for(&p, cfg, FaultConfig::none(1));
+        heavy_window(&mut c, &p, 1);
+        assert!(c.tick().unwrap().deployed);
+        // The next candidate is rejected, the rollback verifies by
+        // readback, the breaker opens and its pin of the original is
+        // rejected too.
+        c.target.inject_next(InjectedFault::DeployReject, 3);
+        heavy_window(&mut c, &p, 2);
+        let r = c.tick().unwrap();
+        assert!(r.health.degraded && r.health.pin_pending, "{r:?}");
+        assert_eq!(r.health.cooldown_remaining, 2);
+        // The repair pass re-pins and its window counts down the breaker.
+        heavy_window(&mut c, &p, 3);
+        let r = c.tick().unwrap();
+        assert!(!r.health.pin_pending, "{r:?}");
+        assert!(r.health.degraded, "{r:?}");
+        assert_eq!(r.health.cooldown_remaining, 1);
+        heavy_window(&mut c, &p, 1);
+        let r = c.tick().unwrap();
+        assert!(!r.health.degraded, "breaker closes on schedule: {r:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! Abstraction over simulated NIC datapaths.
 //!
 //! [`NicBackend`] is the surface the runtime layer needs from a datapath:
-//! the control-plane entry API, live reconfiguration, profile collection,
-//! and batch measurement. [`SmartNic`] (single-threaded) and
+//! the control-plane entry API, program swaps, profile collection, and
+//! batch measurement. [`SmartNic`] (single-threaded) and
 //! [`crate::ShardedNic`] (multi-worker) both implement it, so a
 //! `SimTarget` can be backed by either interchangeably.
 
@@ -15,9 +15,10 @@ use crate::SmartNic;
 use pipeleon_cost::{CostParams, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
 
-/// What a live program swap looked like from the datapath's side:
-/// recorded by backends at every [`NicBackend::deploy`] that published a
-/// new generation while live reconfiguration was enabled.
+/// What a program swap looked like from the datapath's side: recorded by
+/// backends at every [`NicBackend::deploy`], which always swaps the new
+/// program in under traffic (and, on a sharded backend, at every
+/// published (de)specialization).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveSwap {
     /// The generation id the deploy published (monotone per backend).
@@ -40,7 +41,9 @@ pub trait NicBackend {
     /// The target parameters.
     fn params(&self) -> &CostParams;
 
-    /// Live-reconfigures the datapath with a new program layout.
+    /// Reconfigures the datapath with a new program layout, adopted in
+    /// place: the pending profile window carries over, and traffic keeps
+    /// flowing through the swap.
     fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError>;
 
     /// Takes the profile collected since the last call.
@@ -107,20 +110,20 @@ pub trait NicBackend {
     /// Current simulation time in seconds.
     fn now_s(&self) -> f64;
 
-    /// Enables or disables live reconfiguration: when on, control-plane
-    /// operations publish as generations concurrent with packet flow
-    /// instead of pausing the datapath. Backends without a live mode
-    /// ignore the call (their control plane already runs between
-    /// packets).
+    /// A no-op: reconfiguration is always live. Kept because the
+    /// `perfbench` harness forwards it; remove it together with that
+    /// forwarding (like [`NicBackend::shard_mode`]).
     fn set_live_reconfig(&mut self, _on: bool) {}
 
-    /// Whether live reconfiguration is enabled.
+    /// Always `true`: reconfiguration is always live. Kept because the
+    /// `perfbench` harness forwards it; remove it together with that
+    /// forwarding (like [`NicBackend::shard_mode`]).
     fn live_reconfig(&self) -> bool {
-        false
+        true
     }
 
-    /// The most recent live program swap, if any. `None` until the first
-    /// live deploy (and always `None` on backends without a live mode).
+    /// The most recent program swap, if any. `None` until the first
+    /// deploy (and always `None` on backends that do not report swaps).
     fn last_swap(&self) -> Option<LiveSwap> {
         None
     }
@@ -132,8 +135,8 @@ pub trait NicBackend {
     fn measure_begin(&mut self) {}
 
     /// Feeds one chunk of line-rate traffic into the open measurement
-    /// window *without waiting for it to drain* — on a live sharded
-    /// backend, control-plane generations published between feeds land
+    /// window *without waiting for it to drain* — on a sharded backend,
+    /// control-plane generations published between feeds land
     /// genuinely mid-flight. Pacing is continuous across feeds: the
     /// chunks of one begin/feed/end window measure identically to a
     /// single `measure_batch` of their concatenation.
@@ -245,14 +248,6 @@ impl NicBackend for SmartNic {
 
     fn now_s(&self) -> f64 {
         SmartNic::now_s(self)
-    }
-
-    fn set_live_reconfig(&mut self, on: bool) {
-        SmartNic::set_live_reconfig(self, on)
-    }
-
-    fn live_reconfig(&self) -> bool {
-        SmartNic::live_reconfig(self)
     }
 
     fn last_swap(&self) -> Option<LiveSwap> {

@@ -311,33 +311,42 @@ impl Executor {
         &self.params
     }
 
-    /// Replaces the deployed program (live reconfiguration). Cache state
-    /// and counters are reset; the clock is preserved.
+    /// Replaces the deployed program: validates `graph`, then adopts it
+    /// in place, exactly as a sharded NIC's shards adopt a published
+    /// generation. Match engines and flow-cache runtime state are
+    /// rebuilt; the pending profile window, sampled observations,
+    /// distinct-key sets, flow sequence counts, placements, memory
+    /// tiers, engine mode, instrumentation and clock carry over.
     pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
         graph.validate()?;
-        self.graph = graph;
-        self.profile = RuntimeProfile::empty();
-        self.compiled = None;
-        self.rebuild_all();
+        self.adopt_graph(graph, None);
         Ok(())
     }
 
-    /// Adopts an already-validated program as a live generation swap.
-    /// Unlike [`Executor::deploy`], the pending profile window, sampled
-    /// observations, distinct-key sets, flow sequence counts, packet
-    /// sequence, placements, memory tiers, engine mode, and
-    /// instrumentation all carry across the swap — the profile window
-    /// spans generations, keyed by the (stable) node ids both layouts
-    /// share. Match engines and flow-cache runtime state are rebuilt
-    /// (the new layout's tables define them); `compiled` installs the
-    /// caller's pre-built pipeline so every shard adopting the same
-    /// generation shares one lowering instead of re-compiling.
+    /// Adopts an already-validated program as a generation swap. The
+    /// pending profile window, sampled observations, distinct-key sets,
+    /// flow sequence counts, packet sequence, placements, memory tiers,
+    /// engine mode, and instrumentation all carry across the swap, keyed
+    /// by node id (a caller that must not mix two layouts' counts takes
+    /// the window first). Match engines and flow-cache runtime state are
+    /// rebuilt (the new layout's tables define them); `compiled`
+    /// installs the caller's pre-built pipeline so every shard adopting
+    /// the same generation shares one lowering instead of re-compiling.
     ///
-    /// The caller (a generation chain publisher) has already validated
-    /// `graph` on its control replica, so this never fails.
+    /// [`Executor::deploy`] validates before adopting; a generation chain
+    /// publisher has already validated `graph` on its control replica,
+    /// so this never fails.
     pub(crate) fn adopt_graph(&mut self, graph: ProgramGraph, compiled: Option<CompiledPipeline>) {
         self.graph = graph;
         self.rebuild_all();
+        self.compiled = compiled;
+    }
+
+    /// Installs a pipeline a generation publisher lowered for this
+    /// executor's current program — a (de)specialization. Match engines,
+    /// flow-cache contents and counters are untouched, as under
+    /// [`Executor::specialize_with`].
+    pub(crate) fn adopt_pipeline(&mut self, compiled: Option<CompiledPipeline>) {
         self.compiled = compiled;
     }
 
@@ -568,9 +577,11 @@ impl Executor {
     }
 
     /// Takes the latency histograms recorded for sampled packets since
-    /// the last call, resetting them. Sampling is driven by the global
-    /// packet sequence number, so a sharded NIC's per-shard observations
-    /// merge bit-identically to a single-threaded run's.
+    /// the last call, resetting them. Which packets are sampled follows
+    /// the [`SampleKeying`]: the global packet sequence by default, or
+    /// `(flow hash, per-flow index)` under [`SampleKeying::FlowKeyed`],
+    /// which sharded NICs use so their per-shard observations merge
+    /// bit-identically for any worker count.
     pub fn take_observations(&mut self) -> ExecObservations {
         std::mem::take(&mut self.observed)
     }

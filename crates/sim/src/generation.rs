@@ -1,8 +1,8 @@
-//! The epoch/RCU generation chain behind live reconfiguration.
+//! The epoch/RCU generation chain, the control path of
+//! [`crate::ShardedNic`].
 //!
-//! When a [`crate::ShardedNic`] runs with live reconfiguration enabled,
-//! control-plane operations no longer fan out to every shard under its
-//! lock (which would serialize the control plane against packet
+//! Control-plane operations never fan out to the shards under their
+//! locks (which would serialize the control plane against packet
 //! execution). Instead the dispatcher *publishes* each operation as a
 //! numbered generation onto a shared [`GenChain`]; every work item it
 //! subsequently dispatches is tagged with the latest generation id, and
@@ -15,11 +15,11 @@
 //! stop-the-world point:
 //!
 //! * **Publish**: the dispatcher appends a [`GenNode`] (a full program
-//!   deploy or an entry-op delta) and bumps `latest`. Publication
-//!   happens-before dispatch on the dispatcher thread, and the SPSC
-//!   ring's release/acquire hand-off carries that edge to the workers —
-//!   a worker that dequeues an item tagged `g` is guaranteed to see
-//!   every chain node with id ≤ `g`.
+//!   deploy, a compiled-pipeline swap or an entry-op delta) and bumps
+//!   `latest`. Publication happens-before dispatch on the dispatcher
+//!   thread, and the SPSC ring's release/acquire hand-off carries that
+//!   edge to the workers — a worker that dequeues an item tagged `g` is
+//!   guaranteed to see every chain node with id ≤ `g`.
 //! * **Adopt**: shards move forward only (`adopt_to` is monotone), so a
 //!   packet is executed by exactly the generation it was dispatched
 //!   under — never a torn half-applied state, never an older one.
@@ -65,10 +65,11 @@ pub enum PatchOp {
     },
 }
 
-/// What a generation publishes: a whole-program swap or a delta.
+/// What a generation publishes: a whole-program swap, a compiled-pipeline
+/// swap, or a delta.
 // Under `--cfg pipeleon_check` this enum is exported for the model tests
-// (which only construct `Patch`); `Deploy` still carries the private
-// `CompiledPipeline`, which is fine — tests never name that variant.
+// (which only construct `Patch`); `Deploy` and `Pipeline` still carry the
+// private `CompiledPipeline`, which is fine — tests never name them.
 #[cfg_attr(pipeleon_check, allow(private_interfaces))]
 #[derive(Debug)]
 pub enum GenKind {
@@ -81,6 +82,10 @@ pub enum GenKind {
         /// Pre-lowered compiled pipeline, when the compiled engine is on.
         compiled: Option<CompiledPipeline>,
     },
+    /// A (de)specialization: the same program, lowered anew on the
+    /// control replica. Adopters swap in the pipeline alone; match
+    /// engines, flow-cache contents and counters stay untouched.
+    Pipeline(Option<CompiledPipeline>),
     /// An entry-op delta against the previous generation's program.
     Patch(PatchOp),
 }

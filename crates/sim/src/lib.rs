@@ -43,7 +43,7 @@
 //!   datapath: hot-key inline caches behind guards, direct-index ways
 //!   for small stable exact tables, and hot-chain slot layout — all
 //!   bit-exact against the interpreter oracle, applied and reverted
-//!   live through the generation chain.
+//!   live through the generation chain as pipeline-only generations.
 //! * [`backend`] — [`NicBackend`], the datapath trait both NICs
 //!   implement, so runtime targets can be backed by either.
 //!
@@ -57,9 +57,10 @@
 //! window-merged profiles and histograms, relaxing only the float
 //! summation order of mean latency and throughput.
 //!
-//! With **live reconfiguration** enabled
-//! ([`NicBackend::set_live_reconfig`]), control-plane operations publish
-//! as numbered generations on an epoch/RCU chain instead of pausing the
+//! Reconfiguration is always **live**: a deploy adopts the new program
+//! in place, carrying the pending profile window over, on both NICs. On
+//! a [`ShardedNic`] every program-changing operation publishes as a
+//! numbered generation on an epoch/RCU chain instead of pausing the
 //! datapath: packets in flight keep executing under the generation they
 //! were dispatched with, newly dispatched packets pick up the new one,
 //! and old generations are reclaimed once every shard has quiesced past

@@ -260,14 +260,10 @@ impl BatchTotals {
 pub struct SmartNic {
     exec: Executor,
     config: NicConfig,
-    /// Whether live reconfiguration is enabled (deploys adopt the new
-    /// program in place, preserving the pending profile window — the
-    /// single-threaded reference for the sharded live datapath).
-    live: bool,
-    /// Monotone live-deploy counter (the single-threaded analogue of the
+    /// Monotone deploy counter (the single-threaded analogue of the
     /// sharded generation chain's ids, counting deploys only).
     generation: u64,
-    /// The most recent live swap (telemetry).
+    /// The most recent program swap (telemetry).
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<SmartMeasure>,
@@ -301,7 +297,6 @@ impl SmartNic {
         Ok(Self {
             exec: Executor::new(graph, params)?,
             config: NicConfig::default(),
-            live: false,
             generation: 0,
             last_swap: None,
             measuring: None,
@@ -332,43 +327,29 @@ impl SmartNic {
         &mut self.exec
     }
 
-    /// Live-reconfigures the NIC with a new program layout. With live
-    /// reconfiguration enabled ([`SmartNic::set_live_reconfig`]), the
-    /// swap *adopts* the new program in place: the pending profile
-    /// window, sampled observations, flow sequence counts, placements,
-    /// and instrumentation carry across — exactly the semantics each
-    /// shard of a live [`crate::ShardedNic`] applies when it adopts a
-    /// published generation, making this NIC the single-threaded
-    /// reference for live-reconfiguration differentials. Without live
-    /// mode, the classic deploy resets the profile window.
+    /// Reconfigures the NIC with a new program layout, adopted in place:
+    /// the pending profile window, sampled observations, flow sequence
+    /// counts, placements, and instrumentation carry across — exactly
+    /// the semantics each shard of a [`crate::ShardedNic`] applies when
+    /// it adopts a published generation, making this NIC the
+    /// single-threaded reference for reconfiguration differentials.
+    /// Match engines and flow-cache runtime state are rebuilt for the
+    /// new layout. Every deploy bumps the generation and is reported by
+    /// [`SmartNic::last_swap`].
     pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        if self.live {
-            let t0 = Instant::now();
-            graph.validate()?;
-            self.exec.adopt_graph(graph, None);
-            self.generation += 1;
-            self.last_swap = Some(LiveSwap {
-                generation: self.generation,
-                // Single-threaded: nothing is ever in flight at a swap.
-                in_flight: 0,
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            return Ok(());
-        }
-        self.exec.deploy(graph)
+        let t0 = Instant::now();
+        self.exec.deploy(graph)?;
+        self.generation += 1;
+        self.last_swap = Some(LiveSwap {
+            generation: self.generation,
+            // Single-threaded: nothing is ever in flight at a swap.
+            in_flight: 0,
+            latency_ns: t0.elapsed().as_nanos() as f64,
+        });
+        Ok(())
     }
 
-    /// Enables or disables live reconfiguration (swap-in-place deploys).
-    pub fn set_live_reconfig(&mut self, on: bool) {
-        self.live = on;
-    }
-
-    /// Whether live reconfiguration is enabled.
-    pub fn live_reconfig(&self) -> bool {
-        self.live
-    }
-
-    /// The most recent live program swap, if any.
+    /// The most recent program swap, if any.
     pub fn last_swap(&self) -> Option<LiveSwap> {
         self.last_swap
     }
@@ -447,7 +428,7 @@ impl SmartNic {
     ///
     /// Deliberately *generation-silent*: the specialized pipeline is the
     /// same program, bit-exactly — it is not a reconfiguration, and it
-    /// neither bumps the deploy generation nor reports a live swap.
+    /// neither bumps the deploy generation nor reports a swap.
     pub fn specialize(&mut self) -> bool {
         let mut profile = self.last_profile.clone();
         profile.merge(self.exec.sampled_profile());

@@ -50,23 +50,21 @@
 //!   executor clock by its own packet index, so time-dependent runtime
 //!   state (cache insertion rate limiters) sees per-shard schedules.
 //!
-//! # Control plane: fan-out vs. live reconfiguration
+//! # Control plane: the generation chain
 //!
-//! By default, control-plane operations (`insert_entry`, `remove_entry`,
-//! `replace_table`, `deploy`, cache management) fan out to every shard
-//! under its lock so all workers always run the same program — simple,
-//! but the control plane serializes against packet execution at burst
-//! granularity.
-//!
-//! With **live reconfiguration** enabled (`set_live_reconfig(true)`),
-//! program-changing operations instead *publish* as numbered generations
-//! on an epoch/RCU chain (`GenChain` in `generation.rs`) without touching
-//! any shard lock:
-//! `deploy` publishes a whole-program swap (with a pre-built compiled
-//! pipeline the shards adopt by cloning), entry ops publish deltas, and
-//! every dispatched packet is tagged with the generation current at
-//! dispatch. A shard adopts pending generations lazily when the first
-//! packet tagged with a newer one reaches it, so:
+//! Every program-changing operation (`deploy`, `insert_entry`,
+//! `remove_entry`, `replace_table`, `specialize`, `despecialize`) is
+//! validated and applied on a control replica, then *published* as a
+//! numbered generation on an epoch/RCU chain (`GenChain` in
+//! `generation.rs`) without touching any shard lock. `deploy` publishes
+//! a whole-program swap with a pre-built compiled pipeline the shards
+//! adopt by cloning; entry ops publish deltas; (de)specialization
+//! publishes the compiled pipeline alone, which a shard swaps in without
+//! touching its match engines, flow-cache contents or counters, exactly
+//! as [`SmartNic::specialize`](crate::SmartNic::specialize) does. Every
+//! dispatched packet is tagged with the generation current at dispatch,
+//! and a shard adopts pending generations lazily when the first packet
+//! tagged with a newer one reaches it, so:
 //!
 //! - **No torn reads**: a packet executes under exactly the generation
 //!   it was dispatched with — adoption is monotone and happens *between*
@@ -79,15 +77,22 @@
 //!   with flow-keyed sampling, merged profiles) are identical for any
 //!   worker count.
 //!
+//! A deploy has one meaning on both NICs: the new program is adopted in
+//! place (match engines and flow-cache runtime state are rebuilt for the
+//! new layout) and the pending profile window carries over. Keeping a
+//! window from spanning two layouts is the controller's job.
+//!
 //! Quiescence is detected at `wait_idle` (every public call that drains
 //! the rings): drained shards are fast-forwarded to the latest
 //! generation and the chain prefix every shard has adopted is reclaimed,
 //! so the chain is empty in steady state.
 //!
-//! Non-program operations (instrumentation, placement, engine mode,
-//! cache flushes/limits) always fan out: they mutate shard-local runtime
-//! state, and the shard mutex serializes them at burst granularity
-//! without tearing any packet.
+//! Non-program operations (instrumentation, placement, memory tiers,
+//! engine mode, cache flushes/limits) fan out to every shard under its
+//! lock: they mutate shard-local runtime state. They quiesce first, so
+//! each lands after every published generation on every shard — in the
+//! order a single-threaded NIC applies them (a cache limit set right
+//! after a deploy survives that deploy's adoption).
 //!
 //! Caveat: flow-cache *runtime state* is shard-local. Each shard has its
 //! own LRU of the configured capacity and its own insertion rate
@@ -108,7 +113,6 @@ use crate::packet::Packet;
 use crate::ring;
 use crate::specialize::{self, HotKeySketch, SpecConfig, SpecStats};
 use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
-use fxhash::FxHashMap;
 use pipeleon_cost::{CostParams, MemoryTier, Placement, RuntimeProfile};
 use pipeleon_ir::{IrError, NextHops, NodeId, ProgramGraph, Table, TableEntry};
 use std::collections::{BTreeMap, HashMap};
@@ -213,13 +217,13 @@ struct ShardState {
     /// Generation this shard has adopted (0 = the construction-time
     /// program). Monotone; see [`ShardState::adopt_to`].
     gen: u64,
-    /// Whether live reconfiguration is on (mirrors the dispatcher's
-    /// flag; gates per-generation accounting off the non-live hot path).
-    live: bool,
-    /// Packets executed per generation since live reconfiguration was
-    /// enabled — the "every packet attributable to exactly one
-    /// generation" ledger.
-    gen_packets: FxHashMap<u64, u64>,
+    /// Packets executed per generation in the current profile window —
+    /// the "every packet attributable to exactly one generation" ledger.
+    /// Adoption is monotone, so runs are appended in generation order
+    /// and a packet only ever bumps the last one. Cleared by
+    /// [`ShardedNic::take_profile`], so it holds at most one run per
+    /// generation published within a window.
+    gen_packets: Vec<(u64, u64)>,
     /// The shared publication chain (same `Arc` on every shard and the
     /// dispatcher).
     chain: Arc<GenChain>,
@@ -246,6 +250,7 @@ impl ShardState {
                 GenKind::Deploy { graph, compiled } => {
                     self.exec.adopt_graph(graph.clone(), compiled.clone());
                 }
+                GenKind::Pipeline(compiled) => self.exec.adopt_pipeline(compiled.clone()),
                 // Control validated each patch on its replica before
                 // publishing, and every shard holds the same program, so
                 // shard-side application cannot fail.
@@ -263,13 +268,19 @@ impl ShardState {
         self.gen = target;
     }
 
+    /// Credits one packet to the adopted generation in the ledger.
+    fn count_packet(&mut self) {
+        match self.gen_packets.last_mut() {
+            Some((g, n)) if *g == self.gen => *n += 1,
+            _ => self.gen_packets.push((self.gen, 1)),
+        }
+    }
+
     fn run_item(&mut self, item: &mut WorkItem) {
         if item.gen > self.gen {
             self.adopt_to(item.gen);
         }
-        if self.live {
-            *self.gen_packets.entry(self.gen).or_insert(0) += 1;
-        }
+        self.count_packet();
         match self.ctx {
             BatchCtx::Forward => {
                 let r = self.exec.process(&mut item.pkt);
@@ -491,12 +502,10 @@ pub struct ShardedNic {
     last_take_s: f64,
     /// The generation publication chain (shared with every shard).
     chain: Arc<GenChain>,
-    /// Whether live reconfiguration is enabled.
-    live: bool,
     /// Cached `chain.latest()` — the dispatcher is the sole publisher,
     /// so its cache is always exact; work items are tagged with it.
     latest_gen: u64,
-    /// The most recent live program swap (telemetry).
+    /// The most recent program swap (telemetry).
     last_swap: Option<LiveSwap>,
     /// Open streaming measurement window, if any.
     measuring: Option<MeasureStream>,
@@ -533,8 +542,7 @@ impl ShardedNic {
                     local_idx: 0,
                     rx,
                     gen: 0,
-                    live: false,
-                    gen_packets: FxHashMap::default(),
+                    gen_packets: Vec::new(),
                     chain: Arc::clone(&chain),
                 }),
                 processed: AtomicU64::new(0),
@@ -573,7 +581,6 @@ impl ShardedNic {
             now_s: 0.0,
             last_take_s: 0.0,
             chain,
-            live: false,
             latest_gen: 0,
             last_swap: None,
             measuring: None,
@@ -646,32 +653,30 @@ impl ShardedNic {
                 break;
             }
         }
-        if self.live {
-            // Quiescence: every ring is drained, so fast-forwarding a
-            // shard cannot skip a generation an in-flight packet still
-            // needs — there are none. This is the RCU grace-period end:
-            // all shards reach `latest_gen`, the whole chain prefix
-            // becomes unreachable, and reclaiming it bounds memory under
-            // swap storms. It also zeroes executor deltas (cache stats
-            // reset at adoption) identically on every shard, keeping
-            // window merges worker-count-invariant even when some shards
-            // saw no post-swap packets.
-            let latest = self.latest_gen;
-            debug_assert_eq!(
-                latest,
-                self.chain.latest(),
-                "dispatcher is the sole publisher, so its cache is exact"
-            );
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.adopt_to(latest);
-                // ORDERING: Release — same edge as the `drain_burst`
-                // publication: the adoption work under the lock
-                // happens-before any reclaim that observes this value.
-                cell.adopted.store(st.gen, Ordering::Release);
-            }
-            self.chain.reclaim(latest);
+        // Quiescence: every ring is drained, so fast-forwarding a shard
+        // cannot skip a generation an in-flight packet still needs —
+        // there are none. This is the RCU grace-period end: all shards
+        // reach `latest_gen`, the whole chain prefix becomes
+        // unreachable, and reclaiming it bounds memory under swap
+        // storms. It also zeroes executor deltas (cache stats reset at
+        // adoption) identically on every shard, keeping window merges
+        // worker-count-invariant even when some shards saw no post-swap
+        // packets.
+        let latest = self.latest_gen;
+        debug_assert_eq!(
+            latest,
+            self.chain.latest(),
+            "dispatcher is the sole publisher, so its cache is exact"
+        );
+        for cell in &self.shards {
+            let mut st = cell.state.lock().expect("shard state poisoned");
+            st.adopt_to(latest);
+            // ORDERING: Release — same edge as the `drain_burst`
+            // publication: the adoption work under the lock
+            // happens-before any reclaim that observes this value.
+            cell.adopted.store(st.gen, Ordering::Release);
         }
+        self.chain.reclaim(latest);
     }
 
     /// Packets enqueued to shard rings but not yet processed.
@@ -714,9 +719,11 @@ impl ShardedNic {
     }
 
     /// Every shard's deployed program, in shard order (cloned out of the
-    /// shard mutexes). Control-plane fan-out keeps these identical;
-    /// tests assert it.
-    pub fn shard_graphs(&self) -> Vec<ProgramGraph> {
+    /// shard mutexes) after quiescing, so every shard has adopted every
+    /// published generation. The generation chain keeps these identical
+    /// to [`ShardedNic::graph`]; tests assert it.
+    pub fn shard_graphs(&mut self) -> Vec<ProgramGraph> {
+        self.wait_idle();
         self.shards
             .iter()
             .map(|c| {
@@ -740,159 +747,105 @@ impl ShardedNic {
         self.now_s
     }
 
-    /// Enables or disables live reconfiguration (see the module docs).
-    /// Drains in-flight work first so the mode flip itself is never
-    /// concurrent with packets dispatched under the old regime.
-    pub fn set_live_reconfig(&mut self, on: bool) {
-        if self.live == on {
-            return;
-        }
-        self.wait_idle();
-        self.live = on;
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.live = on;
-        }
-    }
-
-    /// Whether live reconfiguration is enabled.
-    pub fn live_reconfig(&self) -> bool {
-        self.live
-    }
-
-    /// The most recent live program swap, if any.
+    /// The most recent program swap, if any.
     pub fn last_swap(&self) -> Option<LiveSwap> {
         self.last_swap
     }
 
-    /// Packets executed per generation since live reconfiguration was
-    /// enabled, merged across shards. Each packet is counted under
-    /// exactly one generation — the one it was dispatched with — so the
-    /// counts sum to the packets processed and are identical for any
-    /// worker count.
+    /// Packets executed per generation since the last
+    /// [`ShardedNic::take_profile`] (or construction), merged across
+    /// shards. Each packet is counted under exactly one generation — the
+    /// one it was dispatched with — so the counts sum to the packets
+    /// processed in the window and are identical for any worker count.
     pub fn generation_counts(&self) -> BTreeMap<u64, u64> {
         let mut merged = BTreeMap::new();
         for cell in &self.shards {
             let st = cell.state.lock().expect("shard state poisoned");
-            for (&g, &c) in &st.gen_packets {
+            for &(g, c) in &st.gen_packets {
                 *merged.entry(g).or_insert(0) += c;
             }
         }
         merged
     }
 
-    /// Live-reconfigures every shard with a new program layout. With
-    /// live reconfiguration on this *publishes* a new
-    /// generation concurrent with packet flow — no shard lock is taken,
-    /// in-flight packets complete under the old program — and records
-    /// the swap ([`ShardedNic::last_swap`]). Otherwise it fans out to
-    /// every shard synchronously.
+    /// Appends `kind` to the generation chain: packets dispatched from
+    /// now on carry its id, and each shard adopts it before the first of
+    /// them runs there. Returns the new generation id.
+    fn publish(&mut self, kind: GenKind) -> u64 {
+        self.latest_gen = self.chain.publish(kind);
+        self.reclaim_adopted();
+        self.latest_gen
+    }
+
+    /// Publishes a whole-pipeline generation and records it as the
+    /// latest swap ([`ShardedNic::last_swap`]); `t0` is when the control
+    /// replica started building it.
+    fn publish_swap(&mut self, kind: GenKind, t0: Instant) {
+        let generation = self.publish(kind);
+        self.last_swap = Some(LiveSwap {
+            generation,
+            in_flight: self.in_flight(),
+            latency_ns: t0.elapsed().as_nanos() as f64,
+        });
+    }
+
+    /// Reconfigures every shard with a new program layout: publishes a
+    /// new generation concurrent with packet flow — no shard lock is
+    /// taken, in-flight packets complete under the old program — and
+    /// records the swap ([`ShardedNic::last_swap`]).
     pub fn deploy(&mut self, graph: ProgramGraph) -> Result<(), IrError> {
-        if self.live {
-            let t0 = Instant::now();
-            self.control.deploy(graph.clone())?;
-            // Build the compiled pipeline once, centrally: adopters
-            // clone it instead of each lowering the program mid-burst.
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
-            self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            self.reclaim_adopted();
-            return Ok(());
-        }
-        let mut out = self.control.deploy(graph.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.deploy(graph.clone()) {
-                out = Err(e);
-            }
-        }
-        out
+        let t0 = Instant::now();
+        self.control.deploy(graph.clone())?;
+        // Build the compiled pipeline once, centrally: adopters clone it
+        // instead of each lowering the program mid-burst.
+        let compiled = self.control.compiled_clone();
+        self.publish_swap(GenKind::Deploy { graph, compiled }, t0);
+        Ok(())
     }
 
-    /// Inserts a table entry on every shard (control-plane API). All
-    /// shards hold identical graphs, so the operation either succeeds or
-    /// fails identically everywhere; the last shard's result is returned.
-    /// With live reconfiguration on, a validated insert publishes as a
-    /// delta generation instead of pausing the datapath.
+    /// Inserts a table entry (control-plane API): validated on the
+    /// control replica, then published as a delta generation.
     pub fn insert_entry(&mut self, node: NodeId, entry: TableEntry) -> Result<(), IrError> {
-        if self.live {
-            self.control.insert_entry(node, entry.clone())?;
-            self.latest_gen = self
-                .chain
-                .publish(GenKind::Patch(PatchOp::Insert { node, entry }));
-            self.reclaim_adopted();
-            return Ok(());
-        }
-        let mut out = self.control.insert_entry(node, entry.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.insert_entry(node, entry.clone()) {
-                out = Err(e);
-            }
-        }
-        out
+        self.control.insert_entry(node, entry.clone())?;
+        self.publish(GenKind::Patch(PatchOp::Insert { node, entry }));
+        Ok(())
     }
 
-    /// Removes a table entry by index on every shard (control-plane API).
-    /// Publishes as a delta generation under live reconfiguration.
+    /// Removes a table entry by index (control-plane API), published as
+    /// a delta generation.
     pub fn remove_entry(&mut self, node: NodeId, index: usize) -> Result<TableEntry, IrError> {
-        if self.live {
-            let removed = self.control.remove_entry(node, index)?;
-            self.latest_gen = self
-                .chain
-                .publish(GenKind::Patch(PatchOp::Remove { node, index }));
-            self.reclaim_adopted();
-            return Ok(removed);
-        }
-        let mut out = self.control.remove_entry(node, index);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            out = st.exec.remove_entry(node, index);
-        }
-        out
+        let removed = self.control.remove_entry(node, index)?;
+        self.publish(GenKind::Patch(PatchOp::Remove { node, index }));
+        Ok(removed)
     }
 
-    /// Replaces a table definition in place on every shard. Publishes as
-    /// a delta generation under live reconfiguration.
+    /// Replaces a table definition in place, published as a delta
+    /// generation.
     pub fn replace_table(
         &mut self,
         node: NodeId,
         table: Table,
         next: Option<NextHops>,
     ) -> Result<(), IrError> {
-        if self.live {
-            self.control
-                .replace_table(node, table.clone(), next.clone())?;
-            self.latest_gen =
-                self.chain
-                    .publish(GenKind::Patch(PatchOp::Replace { node, table, next }));
-            self.reclaim_adopted();
-            return Ok(());
-        }
-        let mut out = self
-            .control
-            .replace_table(node, table.clone(), next.clone());
+        self.control
+            .replace_table(node, table.clone(), next.clone())?;
+        self.publish(GenKind::Patch(PatchOp::Replace { node, table, next }));
+        Ok(())
+    }
+
+    /// Applies a non-program operation to the control replica and every
+    /// shard, after quiescing (see the module docs).
+    fn fan_out(&mut self, op: impl Fn(&mut Executor)) {
+        self.wait_idle();
+        op(&mut self.control);
         for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            if let Err(e) = st.exec.replace_table(node, table.clone(), next.clone()) {
-                out = Err(e);
-            }
+            op(&mut cell.state.lock().expect("shard state poisoned").exec);
         }
-        out
     }
 
     /// Flushes one flow cache on every shard.
     pub fn flush_cache(&mut self, node: NodeId) {
-        self.control.flush_cache(node);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.flush_cache(node);
-        }
+        self.fan_out(|ex| ex.flush_cache(node));
     }
 
     /// Total live entries in a flow cache's runtime state across shards.
@@ -912,52 +865,32 @@ impl ShardedNic {
     /// Sets a flow cache's insertion rate limit on every shard (each
     /// shard gets the full budget — see the module docs caveat).
     pub fn set_cache_insertion_limit(&mut self, node: NodeId, rate_per_s: f64) {
-        self.control.set_cache_insertion_limit(node, rate_per_s);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_cache_insertion_limit(node, rate_per_s);
-        }
+        self.fan_out(|ex| ex.set_cache_insertion_limit(node, rate_per_s));
     }
 
     /// Enables counter instrumentation with `sample_every` packet
     /// sampling on every shard.
     pub fn set_instrumentation(&mut self, enabled: bool, sample_every: u64) {
-        self.control.set_instrumentation(enabled, sample_every);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_instrumentation(enabled, sample_every);
-        }
+        self.fan_out(|ex| ex.set_instrumentation(enabled, sample_every));
     }
 
     /// Sets node placements on every shard.
     pub fn set_placement(&mut self, placement: Vec<Placement>) {
-        self.control.set_placement(placement.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_placement(placement.clone());
-        }
+        self.fan_out(|ex| ex.set_placement(placement.clone()));
     }
 
     /// Assigns tables to memory tiers on every shard.
     pub fn set_memory_tiers(&mut self, tiers: Vec<MemoryTier>) {
-        self.control.set_memory_tiers(tiers.clone());
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_memory_tiers(tiers.clone());
-        }
+        self.fan_out(|ex| ex.set_memory_tiers(tiers.clone()));
     }
 
     /// Selects the packet-execution engine on every shard.
     pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.control.set_engine_mode(mode);
-        for cell in &self.shards {
-            let mut st = cell.state.lock().expect("shard state poisoned");
-            st.exec.set_engine_mode(mode);
-        }
+        self.fan_out(|ex| ex.set_engine_mode(mode));
     }
 
     /// The currently selected packet-execution engine (identical on every
-    /// shard; control-plane fan-out keeps them in sync).
+    /// shard; the fan-out keeps them in sync).
     pub fn engine_mode(&self) -> EngineMode {
         self.control.engine_mode()
     }
@@ -1064,16 +997,13 @@ impl ShardedNic {
         let shard = (packet.flow_hash() % self.shards.len() as u64) as usize;
         let cell = &self.shards[shard];
         let mut st = cell.state.lock().expect("shard state poisoned");
-        if self.live {
-            if self.latest_gen > st.gen {
-                st.adopt_to(self.latest_gen);
-                // ORDERING: Release — same edge as the `drain_burst`
-                // publication of `adopted` (see there).
-                cell.adopted.store(st.gen, Ordering::Release);
-            }
-            let g = st.gen;
-            *st.gen_packets.entry(g).or_insert(0) += 1;
+        if self.latest_gen > st.gen {
+            st.adopt_to(self.latest_gen);
+            // ORDERING: Release — same edge as the `drain_burst`
+            // publication of `adopted` (see there).
+            cell.adopted.store(st.gen, Ordering::Release);
         }
+        st.count_packet();
         st.exec.now_s = self.now_s;
         st.exec.process(packet)
     }
@@ -1082,13 +1012,19 @@ impl ShardedNic {
     /// last call — the window-boundary merge: counters fold via
     /// [`RuntimeProfile::merge`], the window is the global clock delta,
     /// and distinct-key counts come from exact cross-shard unions of the
-    /// raw key sets.
+    /// raw key sets. Quiesces first, so the window holds every packet
+    /// dispatched before the call and none after: a deploy right after
+    /// the take never lands packets of the old layout in the next window.
+    /// Starts a new window of the generation ledger
+    /// ([`ShardedNic::generation_counts`]) too.
     pub fn take_profile(&mut self) -> RuntimeProfile {
+        self.wait_idle();
         let mut merged = RuntimeProfile::empty();
         let mut union: HashMap<NodeId, fxhash::FxHashSet<crate::SmallKey>> = HashMap::new();
         let mut sketches: HashMap<NodeId, HotKeySketch> = HashMap::new();
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
+            st.gen_packets.clear();
             let (p, distinct) = st.exec.take_profile_split();
             merged.merge(&p);
             for (node, set) in distinct {
@@ -1115,8 +1051,10 @@ impl ShardedNic {
     /// last call — the window-boundary merge. Histogram merging is
     /// bit-exact (integer bucket sums) and the flow-keyed sampled-packet
     /// *set* is partition-invariant, so the merged histograms are
-    /// identical for any worker count.
+    /// identical for any worker count. Quiesces first, like
+    /// [`ShardedNic::take_profile`].
     pub fn take_observations(&mut self) -> ExecObservations {
+        self.wait_idle();
         let mut merged = ExecObservations::new();
         for cell in &self.shards {
             let mut st = cell.state.lock().expect("shard state poisoned");
@@ -1148,82 +1086,47 @@ impl ShardedNic {
     /// profile state and applies it to the compiled datapath everywhere.
     /// Returns `true` if the pipeline changed.
     ///
-    /// With live reconfiguration on the specialized
-    /// pipeline is compiled once on the control replica and *published*
-    /// as a deploy generation on the epoch/RCU chain — shards adopt it
+    /// The specialized pipeline is compiled once on the control replica
+    /// and published as a pipeline-only generation: shards swap it in
     /// concurrent with packet flow, in-flight packets complete under the
-    /// verbatim lowering, and the swap is reported via
-    /// [`ShardedNic::last_swap`] exactly like a live program deploy
-    /// (including deploy semantics for shard-local cache runtime state).
-    /// Otherwise the plan fans out to every shard under its lock, which
-    /// swaps only the compiled pipeline (burst-granularity, bit-exact,
-    /// cache state untouched) — the same effect as
+    /// old pipeline, and match engines, flow-cache contents and counters
+    /// stay as they are — the same effect as
     /// [`SmartNic::specialize`](crate::SmartNic::specialize) per shard.
+    /// The swap is reported via [`ShardedNic::last_swap`].
     pub fn specialize(&mut self) -> bool {
         let (profile, sketches) = self.spec_inputs();
         let plan =
             specialize::build_plan(self.control.graph(), &profile, &sketches, &self.spec_cfg);
-        if self.live {
-            let t0 = Instant::now();
-            if self.control.specialize_with(&plan).is_none() {
-                return false;
-            }
-            let graph = self.control.graph().clone();
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
-            self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            self.reclaim_adopted();
-            return true;
+        let t0 = Instant::now();
+        if self.control.specialize_with(&plan).is_none() {
+            return false;
         }
-        let applied = self.control.specialize_with(&plan).is_some();
-        if applied {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.exec.specialize_with(&plan);
-            }
-        }
-        applied
+        self.publish_pipeline(t0);
+        true
     }
 
     /// Reverts the compiled datapath to the verbatim lowering on every
-    /// shard. Returns `true` if it was specialized. Under live
-    /// reconfiguration this too publishes as a deploy generation.
+    /// shard, published like [`ShardedNic::specialize`]. Returns `true`
+    /// if it was specialized.
     pub fn despecialize(&mut self) -> bool {
-        if self.live {
-            let t0 = Instant::now();
-            if self.control.despecialize().is_none() {
-                return false;
-            }
-            let graph = self.control.graph().clone();
-            let compiled = self.control.compiled_clone();
-            let id = self.chain.publish(GenKind::Deploy { graph, compiled });
-            self.latest_gen = id;
-            self.last_swap = Some(LiveSwap {
-                generation: id,
-                in_flight: self.in_flight(),
-                latency_ns: t0.elapsed().as_nanos() as f64,
-            });
-            self.reclaim_adopted();
-            return true;
+        let t0 = Instant::now();
+        if self.control.despecialize().is_none() {
+            return false;
         }
-        let reverted = self.control.despecialize().is_some();
-        if reverted {
-            for cell in &self.shards {
-                let mut st = cell.state.lock().expect("shard state poisoned");
-                st.exec.despecialize();
-            }
-        }
-        reverted
+        self.publish_pipeline(t0);
+        true
+    }
+
+    /// Publishes the control replica's compiled pipeline as a
+    /// pipeline-only generation.
+    fn publish_pipeline(&mut self, t0: Instant) {
+        let compiled = self.control.compiled_clone();
+        self.publish_swap(GenKind::Pipeline(compiled), t0);
     }
 
     /// Current specialization counters: plan/epoch state from the
-    /// control replica (shards apply the same plans, or adopt them
-    /// silently through the generation chain), guard hit/miss telemetry
+    /// control replica (shards adopt its pipelines silently through the
+    /// generation chain), guard hit/miss telemetry
     /// summed across the shards that actually execute packets.
     pub fn spec_stats(&self) -> SpecStats {
         let mut stats = self.control.spec_stats();
@@ -1285,7 +1188,9 @@ impl ShardedNic {
     /// Feeds one chunk into the open measurement window. This only
     /// *dispatches* — it does not wait for the chunk to drain, so
     /// control-plane generations published between feeds land genuinely
-    /// mid-flight.
+    /// mid-flight. The clock advances to the arrival of the last packet
+    /// fed, as on [`SmartNic::measure_feed`](crate::SmartNic::measure_feed),
+    /// so a profile taken between feeds covers the time fed so far.
     pub fn measure_feed<I>(&mut self, packets: I)
     where
         I: IntoIterator<Item = Packet>,
@@ -1298,11 +1203,15 @@ impl ShardedNic {
             let shard = (pkt.flow_hash() % nw as u64) as usize;
             (shard, WorkItem { idx: 0, gen, pkt })
         }));
-        self.measuring.as_mut().expect("measure_begin first").n += n;
+        let stream = self.measuring.as_mut().expect("measure_begin first");
+        stream.n += n;
+        if stream.n > 0 {
+            self.now_s = stream.batch_start_s + (stream.n - 1) as f64 / stream.line_pps;
+        }
     }
 
     /// Closes the measurement window: waits for every fed packet to
-    /// drain (quiescing the generation chain in live mode) and returns
+    /// drain (quiescing the generation chain) and returns
     /// the merged statistics for the whole window.
     pub fn measure_end(&mut self) -> BatchStats {
         self.wait_idle();
@@ -1451,14 +1360,6 @@ impl NicBackend for ShardedNic {
         ShardedNic::now_s(self)
     }
 
-    fn set_live_reconfig(&mut self, on: bool) {
-        ShardedNic::set_live_reconfig(self, on)
-    }
-
-    fn live_reconfig(&self) -> bool {
-        ShardedNic::live_reconfig(self)
-    }
-
     fn last_swap(&self) -> Option<LiveSwap> {
         ShardedNic::last_swap(self)
     }
@@ -1496,7 +1397,7 @@ impl NicBackend for ShardedNic {
 mod tests {
     use super::*;
     use crate::SmartNic;
-    use pipeleon_ir::{MatchKind, Primitive, ProgramBuilder};
+    use pipeleon_ir::{MatchKind, MatchValue, Primitive, ProgramBuilder};
 
     fn linear_program(tables: usize) -> ProgramGraph {
         let mut b = ProgramBuilder::new();
@@ -1575,6 +1476,73 @@ mod tests {
         let rb = sharded.process_batch(&mut b);
         assert_eq!(ra, rb, "uninstrumented reports match packet-for-packet");
         assert_eq!(a, b, "packet mutations match in input order");
+    }
+
+    #[test]
+    fn chain_is_fully_reclaimed_after_quiescence() {
+        let g = linear_program(3);
+        let t0 = g.root().unwrap();
+        let mut nic = ShardedNic::new(g.clone(), CostParams::bluefield2(), 4).unwrap();
+        nic.measure_begin();
+        nic.measure_feed(packets(500));
+        nic.insert_entry(t0, TableEntry::new(vec![MatchValue::Exact(1)], 0))
+            .unwrap();
+        nic.deploy(g).unwrap();
+        // No packet tagged with either generation has been dispatched,
+        // so no shard can have adopted (or released) them yet.
+        assert_eq!(nic.chain.len(), 2);
+        nic.measure_feed(packets(500));
+        assert_eq!(nic.measure_end().packets, 1000);
+        assert!(nic.chain.is_empty(), "quiescence reclaims every node");
+        let counts = nic.generation_counts();
+        assert_eq!(counts.get(&0), Some(&500));
+        assert_eq!(counts.get(&2), Some(&500));
+    }
+
+    #[test]
+    fn mid_window_profile_covers_the_time_fed_like_smartnic() {
+        let g = linear_program(3);
+        let params = CostParams::bluefield2();
+        let mut oracle = SmartNic::new(g.clone(), params.clone()).unwrap();
+        let mut nic = ShardedNic::new(g, params, 4).unwrap();
+        oracle.measure_begin();
+        nic.measure_begin();
+        oracle.measure_feed(packets(300));
+        nic.measure_feed(packets(300));
+        assert_eq!(nic.now_s(), oracle.now_s());
+        let (a, b) = (oracle.take_profile(), nic.take_profile());
+        assert!(a.window_s > 1e-9, "{}", a.window_s);
+        assert_eq!(a.window_s, b.window_s, "window ending mid-feed");
+        oracle.measure_feed(packets(200));
+        nic.measure_feed(packets(200));
+        oracle.measure_end();
+        nic.measure_end();
+        assert_eq!(nic.now_s(), oracle.now_s());
+        let (a, b) = (oracle.take_profile(), nic.take_profile());
+        assert_eq!(a.window_s, b.window_s, "window ending at measure_end");
+    }
+
+    #[test]
+    fn generation_ledger_stays_bounded_under_entry_churn() {
+        let g = linear_program(2);
+        let t0 = g.root().unwrap();
+        let mut nic = ShardedNic::new(g, CostParams::bluefield2(), 2).unwrap();
+        for w in 0..200u64 {
+            nic.measure_begin();
+            nic.measure_feed(packets(20));
+            nic.insert_entry(t0, TableEntry::new(vec![MatchValue::Exact(w)], 0))
+                .unwrap();
+            nic.measure_feed(packets(20));
+            nic.measure_end();
+            let counts = nic.generation_counts();
+            assert_eq!(counts.values().sum::<u64>(), 40, "window {w}: {counts:?}");
+            assert_eq!(counts.len(), 2, "window {w}: {counts:?}");
+            nic.take_profile();
+        }
+        for cell in &nic.shards {
+            let st = cell.state.lock().unwrap();
+            assert!(st.gen_packets.is_empty(), "{:?}", st.gen_packets);
+        }
     }
 
     #[test]

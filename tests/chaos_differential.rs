@@ -250,8 +250,8 @@ fn chaos_differential_smartnic_seed_matrix() {
 #[test]
 fn chaos_differential_sharded_runloop_seed_matrix() {
     // The persistent run-loop datapath goes through the same Target
-    // plumbing; the full matrix exercises it because this is the mode
-    // live reconfiguration publishes generations on.
+    // plumbing; the full matrix exercises it because every deploy there
+    // publishes a generation.
     for &seed in &CI_SEEDS {
         chaos_run(seed, 5, |p| {
             ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap()

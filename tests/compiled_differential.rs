@@ -645,7 +645,6 @@ proptest! {
 
         let mut live =
             ShardedNic::new(g.clone(), params.clone(), 2).unwrap();
-        live.set_live_reconfig(true);
         let mut sync = SmartNic::new(g, params.clone()).unwrap();
         // `expected` is built purely from the op list, no datapath: the
         // swap target with the post-swap ops applied to its tables.

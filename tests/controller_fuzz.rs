@@ -105,10 +105,10 @@ fn controller_survives_random_phases_and_churn() {
 #[test]
 fn controller_survives_churn_on_sharded_target() {
     // The same fuzz loop against a 4-worker sharded datapath: the
-    // controller's insert/remove/replace operations fan out to every
-    // shard, so all shards must stay consistent (identical deployed
-    // graphs) and semantics must hold on whatever shard a probe packet
-    // hashes to.
+    // controller's insert/remove/replace operations reach every shard
+    // through the generation chain, so all shards must stay consistent
+    // (identical deployed graphs) and semantics must hold on whatever
+    // shard a probe packet hashes to.
     let p = AclPipeline::build(6, 4);
     let params = CostParams::bluefield2();
     let mut nic = ShardedNic::new(p.graph.clone(), params.clone(), 4).unwrap();
@@ -162,7 +162,7 @@ fn controller_survives_churn_on_sharded_target() {
         let report = c.tick().unwrap();
         // Invariants every window:
         // 1. The deployed program always validates, on every shard, and
-        //    entry fan-out left all shards with identical graphs.
+        //    every shard adopted the same generations.
         let reference = c.target.nic.graph().clone();
         reference.validate().unwrap();
         for (shard, g) in c.target.nic.shard_graphs().into_iter().enumerate() {

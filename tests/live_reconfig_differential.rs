@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use pipeleon::search::Optimizer;
-use pipeleon_cost::{CostModel, CostParams, RuntimeProfile};
+use pipeleon_cost::{CacheStats, CostModel, CostParams, RuntimeProfile};
 use pipeleon_ir::{
     CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
 };
@@ -34,7 +34,7 @@ use pipeleon_runtime::{
     graph_fingerprint, Controller, ControllerConfig, FaultConfig, FaultyTarget, InjectedFault,
     RuntimeError, SimTarget, Target,
 };
-use pipeleon_sim::{BatchStats, ExecObservations, Packet, ShardedNic, SmartNic};
+use pipeleon_sim::{BatchStats, ExecObservations, Packet, SampleKeying, ShardedNic, SmartNic};
 use pipeleon_workloads::scenarios::AclPipeline;
 
 /// 1 is the degenerate shard, 2 the smallest real split, 8 more shards
@@ -118,7 +118,6 @@ fn live_swap_run(
     let (g, tables) = swap_program();
     let params = CostParams::bluefield2();
     let mut nic = ShardedNic::new(g.clone(), params, workers).unwrap();
-    nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
@@ -141,12 +140,11 @@ fn live_swap_run(
 }
 
 /// The synchronous single-threaded reference for the same stream: a
-/// [`SmartNic`] in live mode deploys at exactly the same stream
-/// positions.
+/// [`SmartNic`] deploys (in place, window carried over) at exactly the
+/// same stream positions.
 fn smart_swap_reference() -> (BatchStats, RuntimeProfile, ExecObservations) {
     let (g, tables) = swap_program();
     let mut nic = SmartNic::new(g.clone(), CostParams::bluefield2()).unwrap();
-    nic.set_live_reconfig(true);
     nic.set_instrumentation(true, 1);
     nic.measure_begin();
     for s in 0..SEGMENTS as u64 {
@@ -228,7 +226,6 @@ fn live_entry_patches_match_synchronous_smartnic() {
     for workers in WORKER_COUNTS {
         let ctx = format!("workers={workers}");
         let mut live = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
-        live.set_live_reconfig(true);
         live.set_instrumentation(true, 1);
         let mut sync = SmartNic::new(g.clone(), params.clone()).unwrap();
         sync.set_instrumentation(true, 1);
@@ -353,7 +350,6 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     let params = CostParams::bluefield2();
     let run = |workers: usize| {
         let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         nic.measure_begin();
         nic.measure_feed((0..1200u64).map(|i| Packet::with_slots(vec![(i * 7) % 48, 0])));
@@ -392,6 +388,53 @@ fn flow_cache_resets_at_the_adoption_boundary_deterministically() {
     assert_eq!((p1, o1, l1), (p2, o2, l2), "rerun: state not reproducible");
 }
 
+/// Non-program operations land after every published generation: a
+/// cache insertion limit set right after a deploy survives that deploy's
+/// adoption on every shard, as it does on [`SmartNic`]. Each shard owns a
+/// full insertion budget, so the reference is one `SmartNic` per
+/// `flow_hash % workers` partition.
+#[test]
+fn cache_limit_set_after_a_deploy_survives_its_adoption() {
+    const LIMIT_PER_S: f64 = 1_000.0;
+    let (g, cache) = cached_flow_program();
+    let params = CostParams::bluefield2();
+    let batch: Vec<Packet> = (0..4000u64)
+        .map(|i| Packet::with_slots(vec![i % 1000, 0]))
+        .collect();
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let mut nic = ShardedNic::new(g.clone(), params.clone(), workers).unwrap();
+        nic.set_instrumentation(true, 1);
+        nic.deploy(g.clone()).unwrap();
+        nic.set_cache_insertion_limit(cache, LIMIT_PER_S);
+        assert_eq!(nic.measure(batch.clone()).packets, 4000, "{ctx}");
+        let got = nic.take_profile().cache_stats[&cache];
+        let mut want = CacheStats::default();
+        for part in 0..workers as u64 {
+            let mut r = SmartNic::new(g.clone(), params.clone()).unwrap();
+            r.set_sample_keying(SampleKeying::FlowKeyed);
+            r.set_instrumentation(true, 1);
+            r.deploy(g.clone()).unwrap();
+            r.set_cache_insertion_limit(cache, LIMIT_PER_S);
+            r.measure(
+                batch
+                    .iter()
+                    .filter(|p| p.flow_hash() % workers as u64 == part)
+                    .cloned(),
+            );
+            let s = r.take_profile().cache_stats[&cache];
+            want.hits += s.hits;
+            want.misses += s.misses;
+            want.insertions += s.insertions;
+        }
+        assert_eq!(got, want, "{ctx}: cache statistics");
+        assert!(
+            got.insertions < 20 * workers as u64,
+            "{ctx}: the limit must bind: {got:?}"
+        );
+    }
+}
+
 /// Deterministic op-mix for the chaos run's entry churn.
 fn chaos_churn<T: Target>(c: &mut Controller<T>, p: &AclPipeline, rng: &mut Lcg, value: u64) {
     let ti = (rng.next() % p.acls.len() as u64) as usize;
@@ -410,7 +453,6 @@ fn chaos_faults_during_mid_flight_swaps_converge_to_last_known_good() {
     for &seed in &[1u64, 3, 8, 21] {
         let p = AclPipeline::build(3, 3);
         let mut nic = ShardedNic::new(p.graph.clone(), CostParams::bluefield2(), 4).unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let optimizer = Optimizer::new(CostModel::new(CostParams::bluefield2()));
         let mut target = FaultyTarget::new(SimTarget::live(nic), FaultConfig::chaos(seed));

@@ -19,9 +19,13 @@
 
 use pipeleon::search::Optimizer;
 use pipeleon_cost::{CostModel, CostParams};
-use pipeleon_ir::{MatchValue, TableEntry};
+use pipeleon_ir::{
+    CacheRole, MatchKind, MatchValue, NodeId, Primitive, ProgramBuilder, ProgramGraph, TableEntry,
+};
 use pipeleon_runtime::{Controller, ControllerConfig, SimTarget, Target};
-use pipeleon_sim::{BatchStats, EngineMode, ExecReport, Packet, ShardedNic, SmartNic};
+use pipeleon_sim::{
+    BatchStats, EngineMode, ExecReport, Packet, SampleKeying, ShardedNic, SmartNic,
+};
 use pipeleon_workloads::scenarios::SkewedPipeline;
 use proptest::prelude::*;
 
@@ -184,7 +188,6 @@ fn live_specialize_swaps_lose_zero_packets() {
         let w1 = oracle.measure(batch.clone());
         let w2 = oracle.measure(batch.clone());
         let mut nic = ShardedNic::new(s.graph.clone(), params(), workers).unwrap();
-        nic.set_live_reconfig(true);
         nic.set_instrumentation(true, 1);
         let mid = batch.len() / 2;
         nic.measure_begin();
@@ -224,6 +227,107 @@ fn live_specialize_swaps_lose_zero_packets() {
             nic.last_swap().expect("second swap").generation > swap.generation,
             "{ctx}: despecialize must publish a newer generation"
         );
+    }
+}
+
+/// A flow cache in front of a small dense exact table (a direct-index
+/// candidate, so every profiled window yields a plan): `cache` on `k`,
+/// whose miss runs `class`, which writes `out`.
+fn cached_class_program() -> (ProgramGraph, NodeId) {
+    let mut b = ProgramBuilder::new();
+    let k = b.field("k");
+    let out = b.field("out");
+    let mut class = b
+        .table("class")
+        .key(k, MatchKind::Exact)
+        .action("set", vec![Primitive::set(out, 1)])
+        .action_nop("pass")
+        .default_action(1);
+    for v in 0..8 {
+        class = class.entry(TableEntry::new(vec![MatchValue::Exact(v)], 0));
+    }
+    let class = class.finish();
+    b.set_next(class, None);
+    let cache = b
+        .table("cache")
+        .key(k, MatchKind::Exact)
+        .action_nop("hit")
+        .action_nop("miss")
+        .default_action(1)
+        .cache_role(CacheRole::FlowCache)
+        .max_entries(64)
+        .by_action(vec![None, Some(class)])
+        .finish();
+    (b.seal(cache).unwrap(), cache)
+}
+
+/// Specialization swaps the compiled pipeline alone: on the sharded
+/// datapath, as on `SmartNic`, flow-cache contents and cache counters
+/// survive a mid-window specialize and despecialize, so cache occupancy,
+/// cache statistics, integer batch statistics and the p99 all match the
+/// single-threaded reference (48 flows stay under every shard's cache
+/// capacity and insertion budget, so one reference serves every
+/// partition).
+#[test]
+fn specialize_keeps_flow_cache_state_like_smartnic() {
+    let (g, cache) = cached_class_program();
+    let batch: Vec<Packet> = (0..2_400u64)
+        .map(|i| Packet::with_slots(vec![i % 48, 0]))
+        .collect();
+    let mid = batch.len() / 2;
+    for workers in WORKER_COUNTS {
+        let ctx = format!("workers={workers}");
+        let mut reference = SmartNic::new(g.clone(), params()).unwrap();
+        reference.set_sample_keying(SampleKeying::FlowKeyed);
+        reference.set_instrumentation(true, 1);
+        let mut nic = ShardedNic::new(g.clone(), params(), workers).unwrap();
+        nic.set_instrumentation(true, 1);
+        // Window 0 warms the caches; window 1 specializes mid-window,
+        // window 2 despecializes mid-window.
+        for window in 0..3 {
+            let ctx = format!("{ctx} window={window}");
+            reference.measure_begin();
+            nic.measure_begin();
+            reference.measure_feed(batch[..mid].iter().cloned());
+            nic.measure_feed(batch[..mid].iter().cloned());
+            match window {
+                1 => {
+                    assert!(reference.specialize(), "{ctx}: reference plan");
+                    assert!(nic.specialize(), "{ctx}: sharded plan");
+                }
+                2 => {
+                    assert!(reference.despecialize(), "{ctx}: reference revert");
+                    assert!(nic.despecialize(), "{ctx}: sharded revert");
+                }
+                _ => {}
+            }
+            reference.measure_feed(batch[mid..].iter().cloned());
+            nic.measure_feed(batch[mid..].iter().cloned());
+            let (want, got) = (reference.measure_end(), nic.measure_end());
+            assert_eq!(want.packets, got.packets, "{ctx}: packets");
+            assert_eq!(want.dropped, got.dropped, "{ctx}: dropped");
+            assert_eq!(want.migrations, got.migrations, "{ctx}: migrations");
+            assert_eq!(
+                want.counter_updates, got.counter_updates,
+                "{ctx}: counter updates"
+            );
+            assert_eq!(
+                want.p99_latency_ns.to_bits(),
+                got.p99_latency_ns.to_bits(),
+                "{ctx}: p99 latency"
+            );
+            assert_eq!(
+                reference.executor_mut().cache_len(cache),
+                nic.cache_len(cache),
+                "{ctx}: flow-cache occupancy"
+            );
+            assert_eq!(
+                reference.take_profile().cache_stats,
+                nic.take_profile().cache_stats,
+                "{ctx}: cache statistics"
+            );
+        }
+        assert_eq!(nic.cache_len(cache), 48, "{ctx}: every flow stays cached");
     }
 }
 
